@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .kernels import KernelDomainError, TranscendentalSeedError
@@ -164,19 +164,8 @@ def _load_problem(args) -> EmdenProblem:
 
 
 def _rebuild(problem: EmdenProblem, order: int, mode: Mode) -> EmdenProblem:
-    def conv(v):
-        return float(v) if mode is Mode.FLOAT else v
-
-    return EmdenProblem(
-        p=conv(problem.p),
-        a=conv(problem.a),
-        f_poly=Series([conv(c) for c in problem.f_poly.coeffs], mode),
-        g=problem.g,
-        y0=conv(problem.y0),
-        dy0=conv(problem.dy0),
-        order=order,
-        mode=mode,
-    )
+    # EmdenProblem and Series coerce every value into the new mode
+    return replace(problem, f_poly=Series(problem.f_poly.coeffs, mode), order=order, mode=mode)
 
 
 def _preset_id(args) -> PresetId:

@@ -2,9 +2,10 @@
 
 The solver needs the transform coefficients G(k) of g(y(x)) while y is
 still being discovered, so expressions are evaluated incrementally: an
-:class:`ExprState` owns one kernel per nonlinear leaf plus a memoized
-coefficient prefix per subexpression, and each ``advance`` call appends
-exactly one index everywhere.
+:class:`ExprState` compiles the tree once into one coefficient prefix
+per distinct subtree (equal subtrees share it, and sin/cos or sinh/cosh
+of one argument share one paired kernel), and each ``advance`` call
+appends exactly one index everywhere.
 
 Supported node kinds mirror the nonlinearities the kernels can handle:
 ``y`` itself, constants, scalar multiples, sums, products, and the leaf
@@ -17,8 +18,9 @@ does not provide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from . import kernels
@@ -126,24 +128,25 @@ def walk(e: GExpr):
     yield e
 
 
-def _kernel_for(node: GExpr, mode: Mode):
-    """Fresh kernel for a nonlinear leaf plus the component index to read
-    (the circular/hyperbolic kernels produce a pair)."""
-    if isinstance(node, Power):
-        return kernels.PowerKernel(node.exponent, mode), None
-    if isinstance(node, Exp):
-        return kernels.ExpKernel(node.alpha, mode), None
-    if isinstance(node, Log):
-        return kernels.LogKernel(node.alpha, node.beta, mode), None
-    if isinstance(node, Sin):
-        return kernels.SinCosKernel(node.alpha, mode), 0
-    if isinstance(node, Cos):
-        return kernels.SinCosKernel(node.alpha, mode), 1
-    if isinstance(node, Sinh):
-        return kernels.SinhCoshKernel(node.alpha, mode), 0
-    if isinstance(node, Cosh):
-        return kernels.SinhCoshKernel(node.alpha, mode), 1
-    return None, None
+# the functions of alpha*y, by node type; the text name is the math name
+_UNARY = {Exp: math.exp, Sin: math.sin, Cos: math.cos, Sinh: math.sinh, Cosh: math.cosh}
+
+# nonlinear leaf -> (kernel class, kernel attribute holding its coefficients);
+# the circular and hyperbolic kernels produce a pair (f, g)
+_LEAF_KERNELS = {
+    Power: (kernels.PowerKernel, "f"),
+    Exp: (kernels.ExpKernel, "f"),
+    Log: (kernels.LogKernel, "f"),
+    Sin: (kernels.SinCosKernel, "f"),
+    Cos: (kernels.SinCosKernel, "g"),
+    Sinh: (kernels.SinhCoshKernel, "f"),
+    Cosh: (kernels.SinhCoshKernel, "g"),
+}
+
+
+def _leaf_args(node: GExpr) -> tuple:
+    """Kernel constructor arguments of a nonlinear leaf, mode aside."""
+    return tuple(getattr(node, f.name) for f in fields(node))
 
 
 def format_expr(e: GExpr) -> str:
@@ -174,23 +177,23 @@ def format_expr(e: GExpr) -> str:
     if isinstance(e, Scale):
         return f"{num(e.factor)}*{grouped(e.child, (Sum, Scale))}"
     if isinstance(e, Sum):
-        return " + ".join(grouped(c, (Sum,)) for c in e.children)
+        def term(c):
+            # negative terms print as subtraction: the parser rejects "+ -"
+            if isinstance(c, Scale) and c.factor < 0:
+                return " - " + format_expr(Scale(-c.factor, c.child))
+            if isinstance(c, Const) and c.value < 0:
+                return " - " + format_expr(Const(-c.value))
+            return " + " + grouped(c, (Sum,))
+
+        return grouped(e.children[0], (Sum,)) + "".join(term(c) for c in e.children[1:])
     if isinstance(e, Product):
         return "*".join(grouped(c, (Sum, Scale)) for c in e.children)
     if isinstance(e, Power):
         return f"y^{num(e.exponent)}"
-    if isinstance(e, Exp):
-        return f"exp({arg(e.alpha)})"
+    if type(e) in _UNARY:
+        return f"{_UNARY[type(e)].__name__}({arg(e.alpha)})"
     if isinstance(e, Log):
         return f"ln({arg(e.alpha, e.beta)})"
-    if isinstance(e, Sin):
-        return f"sin({arg(e.alpha)})"
-    if isinstance(e, Cos):
-        return f"cos({arg(e.alpha)})"
-    if isinstance(e, Sinh):
-        return f"sinh({arg(e.alpha)})"
-    if isinstance(e, Cosh):
-        return f"cosh({arg(e.alpha)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -218,21 +221,13 @@ def evaluate_scalar(e: GExpr, y: float) -> float:
         if y < 0 and not m.is_integer():
             raise kernels.KernelDomainError(f"y^({e.exponent}) at negative y = {y}")
         return float(y) ** m
-    if isinstance(e, Exp):
-        return math.exp(float(e.alpha) * y)
+    if type(e) in _UNARY:
+        return _UNARY[type(e)](float(e.alpha) * y)
     if isinstance(e, Log):
         d = float(e.alpha) * y + float(e.beta)
         if d <= 0:
             raise kernels.KernelDomainError(f"ln argument {d} is not positive")
         return math.log(d)
-    if isinstance(e, Sin):
-        return math.sin(float(e.alpha) * y)
-    if isinstance(e, Cos):
-        return math.cos(float(e.alpha) * y)
-    if isinstance(e, Sinh):
-        return math.sinh(float(e.alpha) * y)
-    if isinstance(e, Cosh):
-        return math.cosh(float(e.alpha) * y)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -278,12 +273,13 @@ def validate_expr(e: GExpr, y0, mode: Mode) -> ValidationReport:
             except (ValueError, TypeError) as exc:
                 findings.append(Finding(label, str(exc)))
             continue
+        leaf = _LEAF_KERNELS.get(type(node))
+        if leaf is None:
+            continue
         try:
-            kernel, _ = _kernel_for(node, mode)
+            kernel = leaf[0](*_leaf_args(node), mode)
         except (ValueError, TypeError) as exc:
             findings.append(Finding(label, str(exc)))
-            continue
-        if kernel is None:
             continue
         try:
             kernel.advance([y0])
@@ -292,12 +288,19 @@ def validate_expr(e: GExpr, y0, mode: Mode) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
+_KERNEL, _VAR, _CONST, _SCALE, _SUM, _PRODUCT = range(6)
+
+
 class ExprState:
     """Streaming transform of a whole expression tree.
 
-    Memoized coefficient prefixes never change once emitted, so G(k) of
-    the root depends on Y(0..k) only, exactly like the raw kernels.  One
-    state serves one solve session; it is not thread-safe.
+    The tree is compiled once into slots, children before parents: one
+    coefficient list per distinct subtree, so equal subtrees (and sin/cos
+    or sinh/cosh of one argument, which read the two halves of one paired
+    kernel) are computed once.  An n-ary product becomes a chain of binary
+    products.  Emitted coefficients never change, so G(k) of the root
+    depends on Y(0..k) only, exactly like the raw kernels.  One state
+    serves one solve session; it is not thread-safe.
     """
 
     def __init__(
@@ -309,38 +312,57 @@ class ExprState:
         self.expr = expr
         self.mode = mode
         self._on_warn = on_warn
-        self._memo: dict = {}
-        self._kernels: dict = {}
-        self._partials: dict = {}
-        self._order: list = []
         self.kernel_calls = 0
-        self._prepare(expr)
+        self._steps: list = []  # (op, output list, operand, operand)
+        # Keys are reprs, not nodes: 1 == 1.0 and 0.0 == -0.0 compare
+        # equal but do not compute the same, so they must not share.
+        slots: dict = {}
+        kernels_by_args: dict = {}
+        for node in walk(expr):
+            key = repr(node)
+            if key not in slots:
+                slots[key] = self._compile(node, slots, kernels_by_args)
+        self._root = slots[repr(expr)]
 
-    def _prepare(self, node: GExpr):
-        key = id(node)
-        if key in self._memo:
-            return
-        if isinstance(node, Scale):
-            self._prepare(node.child)
-        elif isinstance(node, (Sum, Product)):
-            for c in node.children:
-                self._prepare(c)
-            if isinstance(node, Product):
-                # one partial-product prefix per extra factor
-                self._partials[key] = [[] for _ in range(len(node.children) - 1)]
-        kernel, component = _kernel_for(node, self.mode)
-        if kernel is not None:
-            self._kernels[key] = (kernel, component)
-        self._memo[key] = []
-        self._order.append(node)
+    def _compile(self, node: GExpr, slots: dict, kernels_by_args: dict) -> list:
+        """Append the steps that compute ``node`` and return its list."""
+        leaf = _LEAF_KERNELS.get(type(node))
+        if leaf is not None:
+            cls, half = leaf
+            args = _leaf_args(node)
+            key = (cls, repr(args))
+            if key not in kernels_by_args:
+                kernels_by_args[key] = cls(*args, self.mode)
+                self._steps.append((_KERNEL, None, kernels_by_args[key], None))
+            return getattr(kernels_by_args[key], half)
+        if isinstance(node, Product):
+            left = slots[repr(node.children[0])]
+            for child in node.children[1:]:
+                out: list = []
+                self._steps.append((_PRODUCT, out, left, slots[repr(child)]))
+                left = out
+            return left
+        out = []
+        if isinstance(node, Var):
+            step = (_VAR, out, None, None)
+        elif isinstance(node, Const):
+            step = (_CONST, out, coerce(node.value, self.mode), None)
+        elif isinstance(node, Scale):
+            step = (_SCALE, out, coerce(node.factor, self.mode), slots[repr(node.child)])
+        elif isinstance(node, Sum):
+            step = (_SUM, out, [slots[repr(c)] for c in node.children], None)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        self._steps.append(step)
+        return out
 
     @property
     def next_index(self) -> int:
-        return len(self._memo[id(self.expr)])
+        return len(self._root)
 
     def prefix(self) -> tuple:
         """All root coefficients G(0..next_index-1) emitted so far."""
-        return tuple(self._memo[id(self.expr)])
+        return tuple(self._root)
 
     def advance(self, y_prefix: Sequence[Number]) -> Number:
         """Consume Y(0..k) for k == next_index; return G(k) of the root."""
@@ -349,46 +371,20 @@ class ExprState:
             raise kernels.PrefixLengthError(
                 f"expected Y(0..{k}) ({k + 1} values), got {len(y_prefix)}"
             )
-        for node in self._order:
-            memo = self._memo[id(node)]
-            if len(memo) == k + 1:
-                continue  # shared subtree already advanced this round
-            memo.append(self._step(node, k, y_prefix))
-        return self._memo[id(self.expr)][k]
-
-    def _step(self, node: GExpr, k: int, y) -> Number:
-        key = id(node)
-        if key in self._kernels:
-            kernel, component = self._kernels[key]
-            self.kernel_calls += 1
-            value = kernel.advance(y)
-            return value if component is None else value[component]
-        if isinstance(node, Var):
-            return coerce(y[k], self.mode)
-        if isinstance(node, Const):
-            return coerce(node.value, self.mode) if k == 0 else zero(self.mode)
-        if isinstance(node, Scale):
-            return coerce(node.factor, self.mode) * self._memo[id(node.child)][k]
-        if isinstance(node, Sum):
-            return guarded_sum(
-                (self._memo[id(c)][k] for c in node.children),
-                zero(self.mode),
-                self._on_warn,
-                f"sum at index {k}",
-            )
-        if isinstance(node, Product):
-            left = self._memo[id(node.children[0])]
-            partials = self._partials[key]
-            for j, child in enumerate(node.children[1:]):
-                right = self._memo[id(child)]
-                partials[j].append(
-                    guarded_sum(
-                        (left[r] * right[k - r] for r in range(k + 1)),
-                        zero(self.mode),
-                        self._on_warn,
-                        f"product convolution at index {k}",
-                    )
-                )
-                left = partials[j]
-            return left[k]
-        raise TypeError(f"not an expression node: {node!r}")
+        mode, warn = self.mode, self._on_warn
+        for op, out, a, b in self._steps:
+            if op == _KERNEL:
+                self.kernel_calls += 1
+                a.advance(y_prefix)
+            elif op == _VAR:
+                out.append(coerce(y_prefix[k], mode))
+            elif op == _CONST:
+                out.append(a if k == 0 else zero(mode))
+            elif op == _SCALE:
+                out.append(a * b[k])
+            elif op == _SUM:
+                out.append(guarded_sum((c[k] for c in a), zero(mode), warn, f"sum at index {k}"))
+            else:  # _PRODUCT: the Cauchy product of two slots at index k
+                terms = map(mul, a, reversed(b))
+                out.append(guarded_sum(terms, zero(mode), warn, f"product convolution at index {k}"))
+        return self._root[k]

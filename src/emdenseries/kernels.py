@@ -24,12 +24,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import mul, sub
 
 from .series import (
     Mode,
     ModeMismatchError,
     Series,
     coerce,
+    dot,
     one,
     zero,
 )
@@ -115,10 +118,12 @@ class Kernel:
             )
         coerce(y_prefix[k], self.mode)  # reject cross-mode prefixes early
         value = self._step(k, y_prefix)
-        self.f.append(value)
+        self.f.append(value[0] if self.paired else value)
         return value
 
     def _step(self, k, y):
+        """F(k) from Y(0..k); paired kernels return (F(k), G(k)) and
+        record G(k) themselves."""
         raise NotImplementedError
 
 
@@ -171,10 +176,9 @@ class PowerKernel(Kernel):
             return y0**m
         if self._powers is not None:
             return self._fallback_step(k, y)
-        acc = zero(self.mode)
-        for r in range(1, k + 1):
-            acc += ((m + 1) * r - k) * y[r] * self.f[k - r]
-        return acc / (k * y[0])
+        # weights (m+1) r - k for r = 1..k
+        weights = map(sub, map(mul, repeat(m + 1), range(1, k + 1)), repeat(k))
+        return dot(y[1 : k + 1], reversed(self.f), zero(self.mode), weights) / (k * y[0])
 
     def _fallback_step(self, k, y):
         mi = self._int_exponent
@@ -183,10 +187,7 @@ class PowerKernel(Kernel):
         powers = self._powers
         powers[1].append(y[k])
         for j in range(2, mi + 1):
-            acc = zero(self.mode)
-            for r in range(k + 1):
-                acc += powers[j - 1][r] * y[k - r]
-            powers[j].append(acc)
+            powers[j].append(dot(powers[j - 1], y[k::-1], zero(self.mode)))
         return powers[mi][k]
 
 
@@ -211,9 +212,7 @@ class ExpKernel(Kernel):
                     )
                 return one(self.mode)
             return math.exp(s)
-        acc = zero(self.mode)
-        for r in range(k):
-            acc += (r + 1) * y[r + 1] * self.f[k - 1 - r]
+        acc = dot(y[1 : k + 1], reversed(self.f), zero(self.mode), range(1, k + 1))
         return self.alpha * acc / k
 
 
@@ -221,8 +220,9 @@ class LogKernel(Kernel):
     """Transform of f(y) = ln(alpha * y + beta), alpha*y + beta > 0:
 
         F(0) = ln(d),             d = alpha Y(0) + beta
-        F(1) = alpha Y(1) / d
         F(k) = (alpha/d) * [ Y(k) - (1/k) sum_{r=0..k-2} (r+1) F(r+1) Y(k-1-r) ]
+
+    (the sum is empty at k = 1, leaving F(1) = alpha Y(1) / d).
     """
 
     def __init__(self, alpha, beta, mode: Mode):
@@ -246,16 +246,8 @@ class LogKernel(Kernel):
                     )
                 return zero(self.mode)
             return math.log(d)
-        if k == 1:
-            return self.alpha * y[1] / self._d
-        acc = zero(self.mode)
-        for r in range(k - 1):
-            acc += (r + 1) * self.f[r + 1] * y[k - 1 - r]
-        if self.mode is Mode.RATIONAL:
-            inner = y[k] - Fraction(1, k) * acc
-        else:
-            inner = y[k] - acc / k
-        return self.alpha * inner / self._d
+        acc = dot(self.f[1:], y[k - 1 : 0 : -1], zero(self.mode), range(1, k))
+        return self.alpha * (y[k] - acc / k) / self._d
 
 
 class _CircularKernel(Kernel):
@@ -284,26 +276,13 @@ class _CircularKernel(Kernel):
     def _seeds(self, s):
         raise NotImplementedError
 
-    def advance(self, y_prefix):
-        k = len(self.f)
-        if len(y_prefix) != k + 1:
-            raise PrefixLengthError(
-                f"expected Y(0..{k}) ({k + 1} values), got {len(y_prefix)}"
-            )
-        coerce(y_prefix[k], self.mode)
+    def _step(self, k, y):
         if k == 0:
-            s = self.alpha * coerce(y_prefix[0], self.mode)
-            fv, gv = self._seeds(s)
+            fv, gv = self._seeds(self.alpha * coerce(y[0], self.mode))
         else:
-            facc = zero(self.mode)
-            gacc = zero(self.mode)
-            for r in range(k):
-                w = (k - r) * y_prefix[k - r]
-                facc += w * self.g[r]
-                gacc += w * self.f[r]
-            fv = self.alpha * facc / k
-            gv = self._sign * self.alpha * gacc / k
-        self.f.append(fv)
+            w = list(map(mul, range(k, 0, -1), y[k:0:-1]))  # (k-r) Y(k-r), r = 0..k-1
+            fv = self.alpha * dot(w, self.g, zero(self.mode)) / k
+            gv = self._sign * self.alpha * dot(w, self.f, zero(self.mode)) / k
         self.g.append(gv)
         return fv, gv
 

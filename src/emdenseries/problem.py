@@ -520,19 +520,10 @@ def parse_problem_file(data) -> EmdenProblem:
     y0 = parsed("initial", "y0", parse_number)
     dy0 = parsed("initial", "dy0", parse_number)
 
-    def in_mode(v):
-        return float(v) if mode is Mode.FLOAT else v
-
     try:
         return EmdenProblem(
-            p=in_mode(p),
-            a=in_mode(a),
-            f_poly=Series([in_mode(c) for c in f_coeffs], mode),
-            g=g,
-            y0=in_mode(y0),
-            dy0=in_mode(dy0),
-            order=order,
-            mode=mode,
+            p=p, a=a, f_poly=Series(f_coeffs, mode), g=g, y0=y0, dy0=dy0,
+            order=order, mode=mode,
         )
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from None
@@ -643,43 +634,22 @@ PRESET_CATALOG = (
 
 def build_preset(pid: PresetId, order: int, mode: Mode) -> EmdenProblem:
     """Instantiate a catalog problem at the given order and mode."""
-    if isinstance(mode, str):
-        mode = Mode(mode)
-
-    def num(v):
-        return float(v) if mode is Mode.FLOAT else v
-
-    one_poly = Series([num(1)], mode)
     name = pid.name
     if name == "lane_emden":
-        return EmdenProblem(
-            p=num(2), a=num(1), f_poly=one_poly, g=Power(pid.m),
-            y0=num(1), dy0=num(0), order=order, mode=mode,
-        )
-    if name == "isothermal":
-        return EmdenProblem(
-            p=num(2), a=num(1), f_poly=one_poly, g=Exp(Fraction(1)),
-            y0=num(0), dy0=num(0), order=order, mode=mode,
-        )
-    if name == "sinh_case":
-        return EmdenProblem(
-            p=num(2), a=num(1), f_poly=one_poly, g=Sinh(Fraction(1)),
-            y0=num(1), dy0=num(0), order=order, mode=mode,
-        )
-    if name == "sin_case":
-        return EmdenProblem(
-            p=num(2), a=num(1), f_poly=one_poly, g=Sin(Fraction(1)),
-            y0=num(1), dy0=num(0), order=order, mode=mode,
-        )
-    if name == "example5":
+        p, a, y0, g = 2, 1, 1, Power(pid.m)
+    elif name == "isothermal":
+        p, a, y0, g = 2, 1, 0, Exp(Fraction(1))
+    elif name == "sinh_case":
+        p, a, y0, g = 2, 1, 1, Sinh(Fraction(1))
+    elif name == "sin_case":
+        p, a, y0, g = 2, 1, 1, Sin(Fraction(1))
+    elif name == "example5":
+        p, a, y0 = 5, 8 * pid.a, 0
         g = Sum((Exp(Fraction(1)), Scale(Fraction(2), Exp(Fraction(1, 2)))))
-        return EmdenProblem(
-            p=num(5), a=num(8 * pid.a), f_poly=one_poly, g=g,
-            y0=num(0), dy0=num(0), order=order, mode=mode,
-        )
-    # example6: 18ay = -4ay ln y rewritten with everything on the left
-    g = Sum((Scale(Fraction(18), Var()), Scale(Fraction(4), Product((Var(), Log(Fraction(1), Fraction(0)))))))
+    else:
+        # example6: 18ay = -4ay ln y rewritten with everything on the left
+        p, a, y0 = 8, pid.a, 1
+        g = Sum((Scale(Fraction(18), Var()), Scale(Fraction(4), Product((Var(), Log(Fraction(1), Fraction(0)))))))
     return EmdenProblem(
-        p=num(8), a=num(pid.a), f_poly=one_poly, g=g,
-        y0=num(1), dy0=num(0), order=order, mode=mode,
+        p=p, a=a, f_poly=Series([1], mode), g=g, y0=y0, dy0=0, order=order, mode=mode
     )

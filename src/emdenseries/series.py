@@ -8,7 +8,10 @@ highest power N (the *order*), so that
 
 All arithmetic is coefficient-wise and truncating: products of order-N
 series are order-N series and terms above x^N are dropped.  Callers that
-need more headroom pad first (see :func:`pad`).
+need more headroom pad first (see :func:`pad`).  Cauchy products and
+the kernel recurrences all convolve through :func:`dot`, one
+left-to-right multiply-accumulate; the sums that report float
+cancellation go through :func:`guarded_sum` instead.
 
 Two coefficient modes exist and are never mixed silently:
 
@@ -202,18 +205,31 @@ def derivative_transform(g: Series, n: int) -> Series:
     return Series(out, g.mode)
 
 
+def dot(xs, ys, start: Number, weights=None) -> Number:
+    """``start + x0*y0 + x1*y1 + ...``, or with ``weights`` each term
+    ``(w*x)*y``, accumulated left to right and stopping at the shortest
+    input.
+
+    Cauchy products and every kernel recurrence call it.  Callers pass
+    :func:`zero` as ``start``; starting from the first term instead would
+    turn a sum of -0.0 terms into -0.0 rather than 0.0.
+    """
+    acc = start
+    if weights is None:
+        for x, y in zip(xs, ys):
+            acc += x * y
+    else:
+        for w, x, y in zip(weights, xs, ys):
+            acc += w * x * y
+    return acc
+
+
 def cauchy_product(g: Series, h: Series) -> Series:
     """Product series: F(k) = sum_{r=0..k} G(r) H(k-r), truncated at the
     common order."""
     _check_pair(g, h)
-    gc, hc = g.coeffs, h.coeffs
-    out = []
-    for k in range(g.order + 1):
-        acc = zero(g.mode)
-        for r in range(k + 1):
-            acc += gc[r] * hc[k - r]
-        out.append(acc)
-    return Series(out, g.mode)
+    gc, hc, z = g.coeffs, h.coeffs, zero(g.mode)
+    return Series([dot(gc[: k + 1], hc[k::-1], z) for k in range(g.order + 1)], g.mode)
 
 
 def multi_product(factors: Sequence[Series]) -> Series:

@@ -12,7 +12,9 @@ G is the streaming transform of g(y).  The k = 0 step forces Y(1) = 0,
 which is also what y'(0) = 0 demands; the two initial data fill Y(0)
 and Y(1) and everything above follows.  Because XF(0) = 0, the sum only
 ever touches G(0..k-1), which is computable from Y(0..k-1): the
-recurrence is causal and runs in a single pass.
+recurrence is causal and runs in a single pass.  The sum runs over the
+nonzero XF only (one term per step when f = 1), and
+:func:`residual_series` reuses the same step.
 
 For p > 0 the denominator (k+1)(k+p) is positive for every k >= 0, so
 no step can divide by zero; that is checked once when the problem is
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from .expr import ExprState, validate_expr
 from .kernels import KernelDomainError, TranscendentalSeedError
 from .problem import EmdenProblem
-from .series import Mode, Series, coerce, guarded_sum, zero
+from .series import Series, coerce, guarded_sum, zero
 
 
 class ProblemValidationError(ValueError):
@@ -72,13 +74,29 @@ def transform_initial_conditions(y0, dy0):
     return y0, dy0
 
 
-def _shifted_f(problem: EmdenProblem) -> list:
-    """Coefficients of x*f(x), truncated at the solve order."""
-    z = zero(problem.mode)
-    xf = [z] + list(problem.f_poly.coeffs)
-    xf = xf[: problem.order + 1]
-    xf += [z] * (problem.order + 1 - len(xf))
-    return xf
+def _forcing_support(problem: EmdenProblem) -> list:
+    """(r, XF(r)) for the nonzero coefficients of x*f(x), r ascending."""
+    return [(r, c) for r, c in enumerate(problem.f_poly.coeffs, start=1) if c != 0]
+
+
+def _step(state: ExprState, g: list, y, k: int, support, on_warn=None):
+    """One recurrence step at index k: append G(k-1), which needs only
+    Y(0..k-1), to ``g`` and return the forcing sum
+
+        sum_{1<=r<=k} XF(r) G(k-r)
+
+    over the nonzero XF (the sum is empty at k = 0)."""
+    if k > 0:
+        try:
+            g.append(state.advance(y[:k]))
+        except (KernelDomainError, TranscendentalSeedError, ZeroDivisionError, OverflowError) as exc:
+            raise SolveError(k - 1, str(exc)) from exc
+    return guarded_sum(
+        (c * g[k - r] for r, c in support if r <= k),
+        zero(state.mode),
+        on_warn,
+        f"recurrence step k={k}",
+    )
 
 
 def solve(problem: EmdenProblem) -> SolveReport:
@@ -87,28 +105,16 @@ def solve(problem: EmdenProblem) -> SolveReport:
     if not report.ok:
         raise ProblemValidationError(report)
     mode = problem.mode
-    n = problem.order
     warnings: list = []
     y0, dy0 = transform_initial_conditions(problem.y0, problem.dy0)
     y = [coerce(y0, mode), coerce(dy0, mode)]
-    xf = _shifted_f(problem)
+    support = _forcing_support(problem)
     state = ExprState(problem.g, mode, on_warn=warnings.append)
     g_prefix: list = []
     a = problem.a
     p = problem.p
-    for k in range(1, n):
-        while len(g_prefix) < k:
-            j = len(g_prefix)
-            try:
-                g_prefix.append(state.advance(y[: j + 1]))
-            except (KernelDomainError, TranscendentalSeedError, ZeroDivisionError, OverflowError) as exc:
-                raise SolveError(j, str(exc)) from exc
-        conv = guarded_sum(
-            (xf[r] * g_prefix[k - r] for r in range(1, k + 1) if xf[r] != 0),
-            zero(mode),
-            warnings.append if mode is Mode.FLOAT else None,
-            f"recurrence step k={k}",
-        )
+    for k in range(1, problem.order):
+        conv = _step(state, g_prefix, y, k, support, warnings.append)
         y.append(-a * conv / ((k + 1) * (k + p)))
     return SolveReport(
         series=Series(y, mode),
@@ -139,24 +145,14 @@ def residual_series(problem: EmdenProblem, series: Series) -> Series:
     if series.mode is not problem.mode:
         raise ValueError(f"candidate is {series.mode}, problem is {problem.mode}")
     n = problem.order
-    mode = problem.mode
-    state = ExprState(problem.g, mode)
-    g_coeffs = []
-    for j in range(n):
-        try:
-            g_coeffs.append(state.advance(series.coeffs[: j + 1]))
-        except (KernelDomainError, TranscendentalSeedError, ZeroDivisionError) as exc:
-            raise SolveError(j, str(exc)) from exc
-    xf = _shifted_f(problem)
+    y = series.coeffs
+    support = _forcing_support(problem)
+    state = ExprState(problem.g, problem.mode)
+    g: list = []
     a = problem.a
     p = problem.p
     out = []
     for k in range(n + 1):
-        ynext = series.coeffs[k + 1] if k + 1 <= n else zero(mode)
-        acc = (k + 1) * (k + p) * ynext
-        conv = zero(mode)
-        for r in range(1, k + 1):
-            if xf[r] != 0:
-                conv += xf[r] * g_coeffs[k - r]
-        out.append(acc + a * conv)
-    return Series(out, mode)
+        ynext = y[k + 1] if k < n else zero(problem.mode)
+        out.append((k + 1) * (k + p) * ynext + a * _step(state, g, y, k, support))
+    return Series(out, problem.mode)

@@ -10,17 +10,20 @@ from emdenseries import (
     ExprState,
     Log,
     Mode,
+    ModeMismatchError,
     PowerKernel,
     Power,
     Product,
     Scale,
     Sin,
+    SinCosKernel,
     Sinh,
     Sum,
     Var,
     batch_transform,
     evaluate_scalar,
     format_expr,
+    parse_expression,
     validate_expr,
 )
 from emdenseries.kernels import PrefixLengthError
@@ -118,6 +121,31 @@ class TestTransform:
         assert state.next_index == 3
         # e^x + 2e^(x/2) = 3 + 2x + (1/2 + 1/4)x^2 + ...
         assert state.prefix() == (F(3), F(2), F(3, 4))
+
+    def test_sin_and_cos_share_one_kernel(self):
+        y = [F(0), F(1), F(-1, 2), F(0), F(2, 3), F(1, 5)]
+        state = ExprState(parse_expression("sin(y) + 2*cos(y)"), Mode.RATIONAL)
+        got = [state.advance(y[: k + 1]) for k in range(len(y))]
+        assert state.kernel_calls == len(y)  # one paired kernel, not two
+        sin_y, cos_y = batch_transform(SinCosKernel(1, Mode.RATIONAL), rational(y))
+        assert got == [s + 2 * c for s, c in zip(sin_y, cos_y)]
+
+    def test_equal_subtrees_share_one_kernel(self):
+        e = parse_expression("exp(y) + y*exp(y)")
+        first, second = e.children[0], e.children[1].children[1]
+        assert first == second and first is not second
+        y = [F(0), F(1), F(-1, 2), F(0), F(2, 3), F(1, 5)]
+        state = ExprState(e, Mode.RATIONAL)
+        got = [state.advance(y[: k + 1]) for k in range(len(y))]
+        assert state.kernel_calls == len(y)  # one ExpKernel, not two
+        exp_y = run_state(Exp(F(1)), y)
+        assert got == [u + v for u, v in zip(exp_y, oracles.conv(y, exp_y, len(y) - 1))]
+
+    def test_equal_but_differently_typed_constants_not_merged(self):
+        # Const(1) == Const(1.0), but only the first is valid in rational mode
+        e = Sum((Const(F(1)), Const(1.0)))
+        with pytest.raises(ModeMismatchError):
+            ExprState(e, Mode.RATIONAL).advance([F(0)])
 
 
 class TestValidation:

@@ -97,7 +97,7 @@ class TestParseExpression:
         texts = [
             "sin(y)", "18*y + 4*y*ln(y)", "exp(y) + 2*exp(y/2)", "y^5",
             "y^0", "y^3/2", "-2*y + 3*y^2", "ln(2*y+1)", "cosh(3*y)",
-            "2*(y + y^2)", "1/2*sinh(y)",
+            "2*(y + y^2)", "1/2*sinh(y)", "y - 2*exp(y)", "y^2 - 3",
         ]
         for text in texts:
             once = parse_expression(text)
