@@ -23,14 +23,14 @@ import argparse
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from .kernels import KernelDomainError, TranscendentalSeedError
 from .problem import (
     PRESET_CATALOG,
-    PRESET_NAMES,
-    EmdenProblem,
     ParseError,
     PresetId,
+    _preset_info,
     build_preset,
     parse_number,
     parse_problem_file,
@@ -38,6 +38,7 @@ from .problem import (
 from .series import Mode, Series, evaluate
 from .solver import ProblemValidationError, SolveError, solve
 from .validation import (
+    DEFAULT_SAMPLE_GRID,
     OracleUnavailableError,
     StepSizeUnderflowError,
     compare,
@@ -72,26 +73,21 @@ class OutputTable:
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":
-            lines = [",".join(self.headers)]
-            lines += [",".join(row) for row in self.rows]
-            return "\n".join(lines) + "\n"
-        widths = [len(h) for h in self.headers]
-        for row in self.rows:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        def fit(cells):
-            return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-        lines = [fit(self.headers)]
-        lines += [fit(row) for row in self.rows]
-        return "\n".join(lines) + "\n"
+            fit = ",".join
+        else:
+            widths = [len(h) for h in self.headers]
+            for row in self.rows:
+                for i, cell in enumerate(row):
+                    widths[i] = max(widths[i], len(cell))
+            def fit(cells):
+                return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+        return "".join(fit(row) + "\n" for row in (self.headers, *self.rows))
 
 
 def format_value(v) -> str:
     """Canonical cell text: exact p/q for rationals, 17 significant
     digits for floats (enough to round-trip)."""
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, int):
+    if isinstance(v, (Fraction, int)):
         return str(v)
     return f"{float(v):.17g}"
 
@@ -126,7 +122,8 @@ def _parse_range(text: str):
     return points
 
 
-def _load_problem(args) -> EmdenProblem:
+def _load_problem(args):
+    """The problem the arguments name, and its PresetId (None for a file)."""
     if args.file and args.preset:
         raise _UsageError("give either --file or --preset, not both")
     params = dict(_parse_param(p) for p in (args.param or ()))
@@ -143,37 +140,23 @@ def _load_problem(args) -> EmdenProblem:
         mode = Mode(args.mode) if args.mode else problem.mode
         if order != problem.order or mode is not problem.mode:
             try:
-                problem = _rebuild(problem, order, mode)
+                # EmdenProblem and Series coerce every value into the new mode
+                f_poly = Series(problem.f_poly.coeffs, mode)
+                problem = replace(problem, f_poly=f_poly, order=order, mode=mode)
             except (ValueError, TypeError) as exc:
                 raise _UsageError(str(exc)) from None
-        return problem
+        return problem, None
     if args.preset:
-        if args.preset not in PRESET_NAMES:
-            raise _UsageError(
-                f"unknown preset {args.preset!r} (known: {', '.join(PRESET_NAMES)})"
-            )
-        if args.order is None:
-            raise _UsageError("--order is required with --preset")
         mode = Mode(args.mode) if args.mode else Mode.FLOAT
         try:
+            _preset_info(args.preset)  # an unknown name is reported before a missing --order
+            if args.order is None:
+                raise _UsageError("--order is required with --preset")
             pid = PresetId.from_params(args.preset, params)
-            return build_preset(pid, args.order, mode)
+            return build_preset(pid, args.order, mode), pid
         except (ValueError, TypeError) as exc:
             raise _UsageError(str(exc)) from None
     raise _UsageError("a problem is required: --file PATH or --preset NAME")
-
-
-def _rebuild(problem: EmdenProblem, order: int, mode: Mode) -> EmdenProblem:
-    # EmdenProblem and Series coerce every value into the new mode
-    return replace(problem, f_poly=Series(problem.f_poly.coeffs, mode), order=order, mode=mode)
-
-
-def _preset_id(args) -> PresetId:
-    params = dict(_parse_param(p) for p in (args.param or ()))
-    try:
-        return PresetId.from_params(args.preset, params)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
 
 
 def _emit(args, table: OutputTable):
@@ -181,7 +164,7 @@ def _emit(args, table: OutputTable):
 
 
 def cmd_solve(args) -> int:
-    problem = _load_problem(args)
+    problem, _ = _load_problem(args)
     report = solve(problem)
     rows = tuple(
         (str(k), format_value(c)) for k, c in enumerate(report.series.coeffs)
@@ -193,7 +176,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    problem = _load_problem(args)
+    problem, _ = _load_problem(args)
     series = solve(problem).series
     if (args.at is None) == (args.range is None):
         raise _UsageError("eval needs exactly one of --at or --range")
@@ -215,23 +198,16 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     if not args.preset:
         raise _UsageError("compare works on --preset problems (oracles are preset-keyed)")
-    problem = _load_problem(args)
-    pid = _preset_id(args)
+    problem, pid = _load_problem(args)
     series = solve(problem).series
-    points = _parse_range(args.range) if args.range else [Fraction(i, 10) for i in range(21)]
+    points = _parse_range(args.range) if args.range else DEFAULT_SAMPLE_GRID
     xs = [float(x) for x in points]
     if args.against == "reference":
         ref = reference_series(pid)
         top = max(series.order, ref.order)
-        report = compare(
-            series.to_float().pad(top), ref.pad(top), xs, tolerance=args.tol
-        )
-        label = "reference"
+        report = compare(series.to_float().pad(top), ref.pad(top), xs, tolerance=args.tol)
     elif args.against == "exact":
-        report = compare_pointwise(
-            series, lambda x: exact_solution(pid, x), xs, tolerance=args.tol
-        )
-        label = "exact"
+        report = compare_pointwise(series, partial(exact_solution, pid), xs, tolerance=args.tol)
     else:
         def oracle(x):
             if x == 0:
@@ -239,12 +215,11 @@ def cmd_compare(args) -> int:
             return rk_oracle(problem, x, x_start=min(1e-3, x / 2))
 
         report = compare_pointwise(series, oracle, xs, tolerance=args.tol)
-        label = "numeric"
     rows = tuple(
         (format_value(r.x), format_value(r.a), format_value(r.b), format_value(r.abs_delta))
         for r in report.point_deltas
     )
-    _emit(args, OutputTable(("x", "dtm", label, "abs_delta"), rows))
+    _emit(args, OutputTable(("x", "dtm", args.against, "abs_delta"), rows))
     flagged = report.mismatched_indices(1e-9)
     if flagged:
         detail = "; ".join(
@@ -279,15 +254,14 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
-def _add_problem_args(p, with_order=True):
+def _add_problem_args(p):
     p.add_argument("--file", help="problem file (see README for the format)")
     p.add_argument("--preset", help="catalog problem name (see `presets`)")
     p.add_argument(
         "--param", action="append", metavar="K=V",
         help="preset parameter, e.g. m=5 or a=1/2 (repeatable)",
     )
-    if with_order:
-        p.add_argument("--order", type=int, help="truncation order N (highest power kept)")
+    p.add_argument("--order", type=int, help="truncation order N (highest power kept)")
     p.add_argument("--mode", choices=("rational", "float"), help="arithmetic mode")
     p.add_argument(
         "--format", choices=("csv", "text"), default="text", help="output table format"
@@ -337,10 +311,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, ProblemValidationError, OracleUnavailableError) as exc:
+    except (_UsageError, ParseError, ProblemValidationError, OracleUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SolveError, KernelDomainError, TranscendentalSeedError, StepSizeUnderflowError) as exc:

@@ -15,14 +15,22 @@ values, parsed from a flat INI-style text file (see
 classic cases (Lane-Emden of index m, the isothermal gas sphere, the
 sinh and sin variants, and two equations with known closed forms used
 as exact benchmarks).
+
+Each preset is one :class:`PresetInfo` row of :data:`PRESET_CATALOG`,
+which holds everything known about it: the columns ``presets`` lists,
+p and y(0), the parameter it takes, how it builds (a, g), its closed
+form and its quoted-series fixture.  :func:`build_preset`,
+:class:`PresetId`, the oracles in :mod:`emdenseries.validation` and the
+CLI only look rows up, so adding a preset means adding one row.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .expr import (
     Const,
@@ -39,6 +47,7 @@ from .expr import (
     Sum,
     Var,
 )
+from .kernels import KernelDomainError
 from .series import Mode, Number, Series, coerce
 
 
@@ -48,11 +57,9 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None, column: Optional[int] = None):
         self.line = line
         self.column = column
-        where = ""
-        if line is not None:
-            where = f"line {line}"
-        if column is not None:
-            where = f"{where}, column {column}" if where else f"column {column}"
+        where = ", ".join(
+            f"{label} {n}" for label, n in (("line", line), ("column", column)) if n is not None
+        )
         super().__init__(f"{where}: {message}" if where else message)
 
 
@@ -78,10 +85,8 @@ class EmdenProblem:
     def __post_init__(self):
         mode = Mode(self.mode) if isinstance(self.mode, str) else self.mode
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "p", coerce(self.p, mode))
-        object.__setattr__(self, "a", coerce(self.a, mode))
-        object.__setattr__(self, "y0", coerce(self.y0, mode))
-        object.__setattr__(self, "dy0", coerce(self.dy0, mode))
+        for name in ("p", "a", "y0", "dy0"):
+            object.__setattr__(self, name, coerce(getattr(self, name), mode))
         if self.p <= 0:
             raise ValueError(f"singular-term shape p must be positive, got {self.p}")
         if self.dy0 != 0:
@@ -152,20 +157,79 @@ def _parse_number_token(tok: _Token) -> Fraction:
     return Fraction(tok.text)
 
 
+class _Cursor:
+    """Token cursor shared by the small recursive-descent grammars."""
+
+    def __init__(self, text: str, glue_fractions: bool = True):
+        self.tokens = _tokenize(text, glue_fractions)
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def take(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def accept(self, ops: str) -> Optional[str]:
+        """Take the next token if it is one of the operators in ``ops``
+        and return its text; otherwise take nothing and return None."""
+        tok = self.peek()
+        if tok.kind == "op" and tok.text in ops:
+            self.pos += 1
+            return tok.text
+        return None
+
+    def sign(self) -> Optional[Fraction]:
+        """Take a leading '+' or '-' and return 1 or -1; None if absent."""
+        op = self.accept("+-")
+        return None if op is None else Fraction(-1 if op == "-" else 1)
+
+    def signs(self):
+        """Signs of a sum ``['+'|'-'] term (('+'|'-') term)*``, 1 for an
+        unsigned first term; the caller parses each term after its sign."""
+        sign = self.sign() or Fraction(1)
+        while sign is not None:
+            yield sign
+            sign = self.sign()
+
+    def number(self, message: str) -> Fraction:
+        """Take a numeric token and return its exact value; fail with
+        ``message`` if the next token is not a number."""
+        if self.peek().kind != "num":
+            self.fail(message)
+        return _parse_number_token(self.take())
+
+    def expect_op(self, op: str):
+        if self.accept(op) is None:
+            self.fail(f"expected {op!r}")
+
+    def fail(self, message: str):
+        raise ParseError(message, column=self.peek().column)
+
+    def unexpected(self):
+        tok = self.peek()
+        self.fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input")
+
+    def finish(self, value):
+        """Return ``value`` if all input is consumed."""
+        if self.peek().kind != "end":
+            self.unexpected()
+        return value
+
+
 def parse_number(text: str) -> Fraction:
     """Exact value of a numeric literal: integer, decimal, or p/q."""
-    tokens = _tokenize(text)
-    sign = 1
-    i = 0
-    if tokens[i].kind == "op" and tokens[i].text in "+-":
-        sign = -1 if tokens[i].text == "-" else 1
-        i += 1
-    if tokens[i].kind != "num" or tokens[i + 1].kind != "end":
-        raise ParseError(f"not a number: {text!r}", column=tokens[i].column)
-    return sign * _parse_number_token(tokens[i])
+    cur = _Cursor(text)
+    sign = cur.sign() or 1
+    tok = cur.take()
+    if tok.kind != "num" or cur.peek().kind != "end":
+        raise ParseError(f"not a number: {text!r}", column=tok.column)
+    return sign * _parse_number_token(tok)
 
 
-class _ExprParser:
+class _ExprParser(_Cursor):
     """Recursive-descent parser for the nonlinearity grammar:
 
         expr   := ['-'] term (('+'|'-') term)*
@@ -180,46 +244,13 @@ class _ExprParser:
     ``y/2`` shorthand for (1/2)*y inside function arguments.
     """
 
-    FUNCTIONS = ("exp", "ln", "sin", "cos", "sinh", "cosh")
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}", column=tok.column)
-        return self.take()
-
-    def fail(self, message: str):
-        raise ParseError(message, column=self.peek().column)
-
-    # -- entry point --------------------------------------------------------
+    FUNCTIONS = {"exp": Exp, "ln": Log, "sin": Sin, "cos": Cos, "sinh": Sinh, "cosh": Cosh}
 
     def parse(self) -> GExpr:
-        e = self.expr()
-        if self.peek().kind != "end":
-            self.fail(f"unexpected {self.peek().text!r}")
-        return e
+        return self.finish(self.expr())
 
     def expr(self) -> GExpr:
-        terms = []
-        sign = Fraction(1)
-        if self.peek().kind == "op" and self.peek().text in "+-":
-            sign = Fraction(-1) if self.take().text == "-" else Fraction(1)
-        terms.append(self.term(sign))
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            sign = Fraction(-1) if self.take().text == "-" else Fraction(1)
-            terms.append(self.term(sign))
+        terms = [self.term(sign) for sign in self.signs()]
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def term(self, sign: Fraction) -> GExpr:
@@ -231,10 +262,8 @@ class _ExprParser:
                 scale *= factor.value
             else:
                 children.append(factor)
-            if self.peek().kind == "op" and self.peek().text == "*":
-                self.take()
-                continue
-            break
+            if self.accept("*") is None:
+                break
         if not children:
             return Const(scale)
         body = children[0] if len(children) == 1 else Product(tuple(children))
@@ -243,77 +272,47 @@ class _ExprParser:
     def factor(self) -> GExpr:
         tok = self.peek()
         if tok.kind == "num":
-            self.take()
-            return Const(_parse_number_token(tok))
-        if tok.kind == "op" and tok.text == "(":
-            self.take()
+            return Const(_parse_number_token(self.take()))
+        if self.accept("("):
             inner = self.expr()
             self.expect_op(")")
             return inner
         if tok.kind == "name":
             if tok.text == "y":
                 self.take()
-                if self.peek().kind == "op" and self.peek().text == "^":
-                    self.take()
-                    return Power(self.exponent())
-                return Var()
+                return Power(self.exponent()) if self.accept("^") else Var()
             if tok.text in self.FUNCTIONS:
                 return self.func()
             self.fail(f"unknown name {tok.text!r} (functions: {', '.join(self.FUNCTIONS)})")
         if tok.kind == "op" and tok.text == "/":
             self.fail("division is only allowed inside numeric literals")
-        self.fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input")
+        self.unexpected()
 
     def exponent(self):
-        sign = 1
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.take()
-            sign = -1
-        tok = self.peek()
-        if tok.kind != "num":
-            self.fail("expected a numeric exponent after '^'")
-        self.take()
-        value = sign * _parse_number_token(tok)
+        sign = -1 if self.accept("-") else 1
+        value = sign * self.number("expected a numeric exponent after '^'")
         return int(value) if value.denominator == 1 else value
 
     def func(self) -> GExpr:
         name_tok = self.take()
-        name = name_tok.text
         self.expect_op("(")
         alpha, beta = self.linear()
         self.expect_op(")")
-        if name == "ln":
+        node = self.FUNCTIONS[name_tok.text]
+        if node is Log:
             return Log(alpha, beta)
         if beta != 0:
             raise ParseError(
-                f"{name}(...) takes a pure multiple of y; a constant offset "
+                f"{name_tok.text}(...) takes a pure multiple of y; a constant offset "
                 "is only supported inside ln(...)",
                 column=name_tok.column,
             )
-        if name == "exp":
-            return Exp(alpha)
-        if name == "sin":
-            return Sin(alpha)
-        if name == "cos":
-            return Cos(alpha)
-        if name == "sinh":
-            return Sinh(alpha)
-        return Cosh(alpha)
+        return node(alpha)
 
     def linear(self):
         """Argument of a function: a linear form alpha*y + beta."""
-        alpha = Fraction(0)
-        beta = Fraction(0)
-        first = True
-        while True:
-            sign = Fraction(1)
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.take()
-                sign = Fraction(-1) if tok.text == "-" else Fraction(1)
-            elif not first:
-                break
-            first = False
+        alpha = beta = Fraction(0)
+        for sign in self.signs():
             a, b = self.linterm()
             alpha += sign * a
             beta += sign * b
@@ -322,35 +321,26 @@ class _ExprParser:
     def linterm(self):
         tok = self.peek()
         if tok.kind == "num":
-            self.take()
-            value = _parse_number_token(tok)
-            if self.peek().kind == "op" and self.peek().text == "*":
-                self.take()
-                a, b = self.yterm()
-                if b != 0:
-                    self.fail("expected y after '*'")
-                return value * a, Fraction(0)
+            value = _parse_number_token(self.take())
+            if self.accept("*"):
+                return value * self.yterm(), Fraction(0)
             return Fraction(0), value
         if tok.kind == "name" and tok.text == "y":
-            return self.yterm()
+            return self.yterm(), Fraction(0)
         self.fail("expected a number or y inside the function argument")
 
-    def yterm(self):
+    def yterm(self) -> Fraction:
         tok = self.peek()
         if tok.kind != "name" or tok.text != "y":
             self.fail("expected y")
         self.take()
-        if self.peek().kind == "op" and self.peek().text == "/":
-            self.take()
-            den_tok = self.peek()
-            if den_tok.kind != "num":
-                self.fail("expected a number after '/'")
-            self.take()
-            d = _parse_number_token(den_tok)
+        if self.accept("/"):
+            column = self.peek().column
+            d = self.number("expected a number after '/'")
             if d == 0:
-                raise ParseError("zero denominator", column=den_tok.column)
-            return Fraction(1) / d, Fraction(0)
-        return Fraction(1), Fraction(0)
+                raise ParseError("zero denominator", column=column)
+            return Fraction(1) / d
+        return Fraction(1)
 
 
 def parse_expression(text: str) -> GExpr:
@@ -358,58 +348,35 @@ def parse_expression(text: str) -> GExpr:
     return _ExprParser(text).parse()
 
 
-class _PolyParser(_ExprParser):
+class _PolyParser(_Cursor):
     """Polynomial in x for the f(x) factor: sums of c*x^n terms."""
 
     def parse_poly(self):
         coeffs: dict = {}
-        first = True
-        while True:
-            sign = Fraction(1)
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.take()
-                sign = Fraction(-1) if tok.text == "-" else Fraction(1)
-            elif not first:
-                if tok.kind != "end":
-                    self.fail(f"unexpected {tok.text!r}")
-                break
-            first = False
+        for sign in self.signs():
             degree, value = self.poly_term()
             coeffs[degree] = coeffs.get(degree, Fraction(0)) + sign * value
+        self.finish(None)
         top = max(coeffs) if coeffs else 0
         return [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
 
     def poly_term(self):
-        tok = self.peek()
-        value = Fraction(1)
-        have_coeff = False
-        if tok.kind == "num":
-            self.take()
-            value = _parse_number_token(tok)
-            have_coeff = True
-            if self.peek().kind == "op" and self.peek().text == "*":
-                self.take()
-            else:
+        value, no_x = Fraction(1), "expected a number or x"
+        if self.peek().kind == "num":
+            value = _parse_number_token(self.take())
+            if not self.accept("*"):
                 return 0, value
+            no_x = "expected x after '*'"
         tok = self.peek()
         if tok.kind != "name" or tok.text != "x":
-            if have_coeff:
-                self.fail("expected x after '*'")
-            self.fail("expected a number or x")
+            self.fail(no_x)
         self.take()
         degree = 1
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.take()
-            deg_tok = self.peek()
-            if deg_tok.kind != "num":
-                self.fail("expected a numeric power after '^'")
-            self.take()
-            d = _parse_number_token(deg_tok)
+        if self.accept("^"):
+            column = self.peek().column
+            d = self.number("expected a numeric power after '^'")
             if d.denominator != 1 or d < 0:
-                raise ParseError(
-                    "powers of x must be nonnegative integers", column=deg_tok.column
-                )
+                raise ParseError("powers of x must be nonnegative integers", column=column)
             degree = int(d)
         return degree, value
 
@@ -426,9 +393,8 @@ _SECTIONS = {
     "initial": ("y0", "dy0"),
     "solve": ("order", "mode"),
 }
-_REQUIRED = (("equation", "p"), ("equation", "g"), ("initial", "y0"),
-             ("solve", "order"), ("solve", "mode"))
 _DEFAULTS = {("equation", "a"): "1", ("equation", "f"): "1", ("initial", "dy0"): "0"}
+_REQUIRED = [(s, k) for s, keys in _SECTIONS.items() for k in keys if (s, k) not in _DEFAULTS]
 
 
 def parse_problem_file(data) -> EmdenProblem:
@@ -449,9 +415,9 @@ def parse_problem_file(data) -> EmdenProblem:
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
         stripped = line.strip()
+        if not stripped:
+            continue
         if stripped.startswith("["):
             if not stripped.endswith("]"):
                 raise ParseError("unterminated section header", line=lineno)
@@ -486,16 +452,12 @@ def parse_problem_file(data) -> EmdenProblem:
         value, lineno, column = entries[(section, key)]
         try:
             return fn(value)
-        except ParseError as exc:
-            col = exc.column
+        except ValueError as exc:
+            col = getattr(exc, "column", None)  # set when exc is a ParseError
             raise ParseError(
                 f"bad value for {key!r}: {value!r} ({exc})",
                 line=lineno,
                 column=(column + col - 1) if (col and column) else column,
-            ) from None
-        except ValueError as exc:
-            raise ParseError(
-                f"bad value for {key!r}: {value!r} ({exc})", line=lineno, column=column
             ) from None
 
     mode_text = entries[("solve", "mode")][0].lower()
@@ -531,16 +493,111 @@ def parse_problem_file(data) -> EmdenProblem:
 
 # --- preset catalog ---------------------------------------------------------
 
-PRESET_NAMES = (
-    "lane_emden",
-    "isothermal",
-    "sinh_case",
-    "sin_case",
-    "example5",
-    "example6",
+def _index_m(name: str, m):
+    if m is None:
+        raise ValueError(f"{name} needs the index parameter m")
+    m = m if isinstance(m, float) else Fraction(m)
+    if m < 0:
+        raise ValueError(f"{name} index m must be >= 0, got {m}")
+    return int(m) if isinstance(m, Fraction) and m.denominator == 1 else m
+
+
+def _scale_a(name: str, a):
+    a = Fraction(1) if a is None else a
+    a = a if isinstance(a, float) else Fraction(a)
+    if a == 0:
+        raise ValueError(f"preset {name!r} needs a != 0")
+    return a
+
+
+# the PresetId parameters, each with the rule that checks and normalises
+# its value for a preset that takes it
+_PARAMETERS = {"m": _index_m, "a": _scale_a}
+
+
+def _example5_exact(pid, x: float) -> float:
+    d = 1.0 + float(pid.a) * x * x
+    if d <= 0:
+        raise KernelDomainError(f"1 + a*x^2 = {d} is outside the solution's domain")
+    return -2.0 * math.log(d)
+
+
+_LANE_EMDEN_EXACT = {
+    0: lambda x: 1.0 - x * x / 6.0,
+    1: lambda x: math.sin(x) / x if x != 0 else 1.0,
+    5: lambda x: (1.0 + x * x / 3.0) ** -0.5,
+}
+
+
+@dataclass(frozen=True)
+class PresetInfo:
+    """One catalog entry: the seven columns ``presets`` lists, then what
+    :func:`build_preset` and the oracles in :mod:`emdenseries.validation`
+    need."""
+
+    name: str
+    p: int
+    equation: str
+    y0: int
+    parameters: str
+    modes: str
+    exact_solution: str
+    build: Callable  # PresetId -> (a, g)
+    param: Optional[str] = None  # the PresetId field the preset takes
+    closed_form: Optional[Callable] = None  # (PresetId, x) -> y(x)
+    closed_form_params: Optional[tuple] = None  # values of param it covers; None: all
+    reference: Optional[str] = None  # quoted-series fixture file
+
+
+PRESET_CATALOG = (
+    PresetInfo(
+        "lane_emden", 2, "y'' + (2/x)y' + y^m = 0", 1, "m >= 0",
+        "rational, float",
+        "1 - x^2/6 (m=0); sin(x)/x (m=1); (1+x^2/3)^(-1/2) (m=5)",
+        build=lambda pid: (1, Power(pid.m)), param="m",
+        closed_form=lambda pid, x: _LANE_EMDEN_EXACT[pid.m](x),
+        closed_form_params=tuple(_LANE_EMDEN_EXACT),
+    ),
+    PresetInfo(
+        "isothermal", 2, "y'' + (2/x)y' + e^y = 0", 0, "-", "rational, float", "-",
+        build=lambda _: (1, Exp(Fraction(1))), reference="isothermal.txt",
+    ),
+    PresetInfo(
+        "sinh_case", 2, "y'' + (2/x)y' + sinh(y) = 0", 1, "-", "float", "-",
+        build=lambda _: (1, Sinh(Fraction(1))), reference="sinh_case.txt",
+    ),
+    PresetInfo(
+        "sin_case", 2, "y'' + (2/x)y' + sin(y) = 0", 1, "-", "float", "-",
+        build=lambda _: (1, Sin(Fraction(1))), reference="sin_case.txt",
+    ),
+    PresetInfo(
+        "example5", 5, "y'' + (5/x)y' + 8a(e^y + 2e^(y/2)) = 0", 0, "a != 0",
+        "rational, float", "-2*ln(1 + a*x^2)",
+        build=lambda pid: (
+            8 * pid.a, Sum((Exp(Fraction(1)), Scale(Fraction(2), Exp(Fraction(1, 2)))))),
+        param="a", closed_form=_example5_exact,
+    ),
+    PresetInfo(
+        "example6", 8, "y'' + (8/x)y' + a(18y + 4y*ln(y)) = 0", 1, "a != 0",
+        "rational, float", "exp(-a*x^2)",
+        # 18ay = -4ay ln y rewritten with everything on the left
+        build=lambda pid: (pid.a, Sum((
+            Scale(Fraction(18), Var()),
+            Scale(Fraction(4), Product((Var(), Log(Fraction(1), Fraction(0))))),
+        ))),
+        param="a", closed_form=lambda pid, x: math.exp(-float(pid.a) * x * x),
+    ),
 )
 
-FLOAT_ONLY_PRESETS = ("sinh_case", "sin_case")
+PRESET_NAMES = tuple(info.name for info in PRESET_CATALOG)
+_PRESETS = {info.name: info for info in PRESET_CATALOG}
+
+
+def _preset_info(name: str) -> PresetInfo:
+    """The catalog row called ``name``; ValueError if there is none."""
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r} (known: {', '.join(PRESET_NAMES)})")
+    return _PRESETS[name]
 
 
 @dataclass(frozen=True)
@@ -556,100 +613,25 @@ class PresetId:
     a: object = None
 
     def __post_init__(self):
-        if self.name not in PRESET_NAMES:
-            raise ValueError(
-                f"unknown preset {self.name!r} (known: {', '.join(PRESET_NAMES)})"
-            )
-        if self.name == "lane_emden":
-            if self.m is None:
-                raise ValueError("lane_emden needs the index parameter m")
-            m = Fraction(self.m) if not isinstance(self.m, float) else self.m
-            if m < 0:
-                raise ValueError(f"lane_emden index m must be >= 0, got {m}")
-            if isinstance(m, Fraction) and m.denominator == 1:
-                m = int(m)
-            object.__setattr__(self, "m", m)
-        elif self.m is not None:
-            raise ValueError(f"preset {self.name!r} takes no parameter m")
-        if self.name in ("example5", "example6"):
-            a = Fraction(1) if self.a is None else self.a
-            if not isinstance(a, float):
-                a = Fraction(a)
-            if a == 0:
-                raise ValueError(f"preset {self.name!r} needs a != 0")
-            object.__setattr__(self, "a", a)
-        elif self.a is not None:
-            raise ValueError(f"preset {self.name!r} takes no parameter a")
+        taken = _preset_info(self.name).param
+        for key, normalise in _PARAMETERS.items():
+            if key == taken:
+                object.__setattr__(self, key, normalise(self.name, getattr(self, key)))
+            elif getattr(self, key) is not None:
+                raise ValueError(f"preset {self.name!r} takes no parameter {key}")
 
     @classmethod
     def from_params(cls, name: str, params: dict) -> "PresetId":
-        known = {"m", "a"}
-        bad = set(params) - known
+        bad = set(params) - set(_PARAMETERS)
         if bad:
             raise ValueError(f"unknown preset parameter(s): {', '.join(sorted(bad))}")
-        return cls(name, m=params.get("m"), a=params.get("a"))
-
-
-@dataclass(frozen=True)
-class PresetInfo:
-    """Displayable description of one catalog entry."""
-
-    name: str
-    p: int
-    equation: str
-    y0: int
-    parameters: str
-    modes: str
-    exact_solution: str
-
-
-PRESET_CATALOG = (
-    PresetInfo(
-        "lane_emden", 2, "y'' + (2/x)y' + y^m = 0", 1, "m >= 0",
-        "rational, float",
-        "1 - x^2/6 (m=0); sin(x)/x (m=1); (1+x^2/3)^(-1/2) (m=5)",
-    ),
-    PresetInfo(
-        "isothermal", 2, "y'' + (2/x)y' + e^y = 0", 0, "-",
-        "rational, float", "-",
-    ),
-    PresetInfo(
-        "sinh_case", 2, "y'' + (2/x)y' + sinh(y) = 0", 1, "-",
-        "float", "-",
-    ),
-    PresetInfo(
-        "sin_case", 2, "y'' + (2/x)y' + sin(y) = 0", 1, "-",
-        "float", "-",
-    ),
-    PresetInfo(
-        "example5", 5, "y'' + (5/x)y' + 8a(e^y + 2e^(y/2)) = 0", 0, "a != 0",
-        "rational, float", "-2*ln(1 + a*x^2)",
-    ),
-    PresetInfo(
-        "example6", 8, "y'' + (8/x)y' + a(18y + 4y*ln(y)) = 0", 1, "a != 0",
-        "rational, float", "exp(-a*x^2)",
-    ),
-)
+        return cls(name, **params)
 
 
 def build_preset(pid: PresetId, order: int, mode: Mode) -> EmdenProblem:
     """Instantiate a catalog problem at the given order and mode."""
-    name = pid.name
-    if name == "lane_emden":
-        p, a, y0, g = 2, 1, 1, Power(pid.m)
-    elif name == "isothermal":
-        p, a, y0, g = 2, 1, 0, Exp(Fraction(1))
-    elif name == "sinh_case":
-        p, a, y0, g = 2, 1, 1, Sinh(Fraction(1))
-    elif name == "sin_case":
-        p, a, y0, g = 2, 1, 1, Sin(Fraction(1))
-    elif name == "example5":
-        p, a, y0 = 5, 8 * pid.a, 0
-        g = Sum((Exp(Fraction(1)), Scale(Fraction(2), Exp(Fraction(1, 2)))))
-    else:
-        # example6: 18ay = -4ay ln y rewritten with everything on the left
-        p, a, y0 = 8, pid.a, 1
-        g = Sum((Scale(Fraction(18), Var()), Scale(Fraction(4), Product((Var(), Log(Fraction(1), Fraction(0)))))))
+    info = _preset_info(pid.name)
+    a, g = info.build(pid)
     return EmdenProblem(
-        p=p, a=a, f_poly=Series([1], mode), g=g, y0=y0, dy0=0, order=order, mode=mode
+        p=info.p, a=a, f_poly=Series([1], mode), g=g, y0=info.y0, dy0=0, order=order, mode=mode
     )

@@ -261,20 +261,23 @@ def evaluate(s: Series, x) -> Number:
     return acc
 
 
+# largest term / |sum| above which guarded_sum reports lost float digits
+_CANCELLATION_LIMIT = 1e6
+
+
 def guarded_sum(
     terms,
     start: Number,
     on_warn: Optional[Callable[[str], None]] = None,
     label: str = "",
-    ratio_limit: float = 1e6,
 ) -> Number:
     """Sum ``terms`` onto ``start``, flagging heavy float cancellation.
 
-    In float mode, when the largest term magnitude exceeds ``ratio_limit``
-    times the final sum, most leading digits cancelled and the result has
-    lost precision; ``on_warn`` receives one message describing it.  No
-    compensated summation is attempted.  Rational sums are exact and
-    never warn.
+    In float mode, when the largest term magnitude exceeds
+    ``_CANCELLATION_LIMIT`` times the final sum, most leading digits
+    cancelled and the result has lost precision; ``on_warn`` receives one
+    message describing it.  No compensated summation is attempted.
+    Rational sums are exact and never warn.
     """
     total = start
     largest = 0.0
@@ -286,7 +289,7 @@ def guarded_sum(
             if m > largest:
                 largest = m
     if watching and largest > 0.0:
-        if total == 0.0 or largest / abs(total) > ratio_limit:
+        if total == 0.0 or largest / abs(total) > _CANCELLATION_LIMIT:
             ratio = "inf" if total == 0.0 else f"{largest / abs(total):.1e}"
             on_warn(f"{label}: cancellation ratio {ratio} (largest term {largest:.3e})")
     return total

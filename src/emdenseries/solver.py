@@ -133,10 +133,12 @@ def residual_series(problem: EmdenProblem, series: Series) -> Series:
 
         x y'' + p y' + a x f(x) g(y)
 
-    at the problem's order.  A candidate produced by :func:`solve` at
-    the same order leaves every returned coefficient zero; padding a
-    lower-order solution up and evaluating it in a higher-order problem
-    exposes where its accuracy stops.
+    at the problem's order N.  A candidate produced by :func:`solve` at
+    the same order leaves indices 0..N-1 zero.  Index N holds
+    -(N+1)(N+p) Y(N+1), where Y(N+1) is the coefficient an order-(N+1)
+    solve would add; it is zero only when Y(N+1) is, as at even N with
+    an even f.  Padding a lower-order solution up and evaluating it in a
+    higher-order problem exposes where its accuracy stops.
     """
     if series.order != problem.order:
         raise ValueError(

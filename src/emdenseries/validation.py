@@ -22,11 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
 from .expr import evaluate_scalar
-from .problem import EmdenProblem, ParseError, PresetId, _tokenize
+from .problem import (
+    PRESET_CATALOG,
+    EmdenProblem,
+    ParseError,
+    PresetId,
+    _Cursor,
+    _preset_info,
+)
 from .series import Mode, Series, derivative_transform, evaluate
 from .solver import solve
 
@@ -41,48 +49,41 @@ class StepSizeUnderflowError(RuntimeError):
 
 # --- closed forms -----------------------------------------------------------
 
+def _closed_form(pid: PresetId):
+    """The preset's closed form, a function of (pid, x)."""
+    info = _preset_info(pid.name)
+    if info.closed_form is None:
+        raise OracleUnavailableError(f"no closed form for preset {pid.name!r}")
+    if info.closed_form_params is not None:
+        value = getattr(pid, info.param)
+        if value not in info.closed_form_params:
+            raise OracleUnavailableError(
+                f"no closed form for {pid.name} with {info.param} = {value} "
+                f"(only {', '.join(map(str, info.closed_form_params))})"
+            )
+    return info.closed_form
+
+
 def exact_solution(pid: PresetId, x) -> float:
     """Closed-form solution value, for the presets that have one.
 
     lane_emden m=0,1,5; example5 (-2 ln(1+a x^2)); example6 (exp(-a x^2)).
+    A point outside the solution's domain raises a ValueError.
     """
-    xv = float(x)
-    if pid.name == "lane_emden":
-        if pid.m == 0:
-            return 1.0 - xv * xv / 6.0
-        if pid.m == 1:
-            return math.sin(xv) / xv if xv != 0 else 1.0
-        if pid.m == 5:
-            return (1.0 + xv * xv / 3.0) ** -0.5
-        raise OracleUnavailableError(
-            f"no closed form for lane_emden with m = {pid.m} (only 0, 1, 5)"
-        )
-    if pid.name == "example5":
-        d = 1.0 + float(pid.a) * xv * xv
-        if d <= 0:
-            raise ValueError(f"1 + a*x^2 = {d} is outside the solution's domain")
-        return -2.0 * math.log(d)
-    if pid.name == "example6":
-        return math.exp(-float(pid.a) * xv * xv)
-    raise OracleUnavailableError(f"no closed form for preset {pid.name!r}")
+    return _closed_form(pid)(pid, float(x))
 
 
 def has_exact_solution(pid: PresetId) -> bool:
-    if pid.name == "lane_emden":
-        return pid.m in (0, 1, 5)
-    return pid.name in ("example5", "example6")
+    try:
+        _closed_form(pid)
+    except OracleUnavailableError:
+        return False
+    return True
 
 
 # --- quoted reference series ------------------------------------------------
 
-_REFERENCE_FILES = {
-    "isothermal": "isothermal.txt",
-    "sinh_case": "sinh_case.txt",
-    "sin_case": "sin_case.txt",
-}
-
-
-class _ConstParser:
+class _ConstParser(_Cursor):
     """Arithmetic over literal constants for the fixture files.
 
     Grammar: + - * / ^ with the usual precedence, parentheses, unary
@@ -97,85 +98,55 @@ class _ConstParser:
     }
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text, glue_fractions=False)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message):
-        raise ParseError(message, column=self.peek().column)
+        super().__init__(text, glue_fractions=False)
 
     def parse(self) -> float:
-        value = self.expr()
-        if self.peek().kind != "end":
-            self.fail(f"unexpected {self.peek().text!r}")
-        return value
+        return self.finish(self.expr())
 
     def expr(self) -> float:
         value = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            if self.take().text == "+":
-                value += self.term()
-            else:
-                value -= self.term()
+        while op := self.accept("+-"):
+            value = value + self.term() if op == "+" else value - self.term()
         return value
 
     def term(self) -> float:
         value = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            if self.take().text == "*":
-                value *= self.factor()
-            else:
-                value /= self.factor()
+        while op := self.accept("*/"):
+            value = value * self.factor() if op == "*" else value / self.factor()
         return value
 
     def factor(self) -> float:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.take()
+        if self.accept("-"):
             return -self.factor()
         return self.base()
 
     def base(self) -> float:
         value = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.take()
+        if self.accept("^"):
             value **= self.factor()
         return value
 
     def atom(self) -> float:
         tok = self.peek()
+        if self.accept("("):
+            value = self.expr()
+            self.expect_op(")")
+            return value
         if tok.kind == "num":
             self.take()
             return float(tok.text)
-        if tok.kind == "name":
-            self.take()
-            if tok.text in self.CONSTANTS:
-                return self.CONSTANTS[tok.text]
-            if tok.text in self.FUNCTIONS:
-                fn = self.FUNCTIONS[tok.text]
-                if not (self.peek().kind == "op" and self.peek().text == "("):
-                    self.fail(f"expected '(' after {tok.text}")
-                self.take()
-                value = self.expr()
-                if not (self.peek().kind == "op" and self.peek().text == ")"):
-                    self.fail("expected ')'")
-                self.take()
-                return fn(value)
+        if tok.kind != "name":
+            self.unexpected()
+        self.take()
+        if tok.text in self.CONSTANTS:
+            return self.CONSTANTS[tok.text]
+        if tok.text not in self.FUNCTIONS:
             self.fail(f"unknown constant {tok.text!r}")
-        if tok.kind == "op" and tok.text == "(":
-            self.take()
-            value = self.expr()
-            if not (self.peek().kind == "op" and self.peek().text == ")"):
-                self.fail("expected ')'")
-            self.take()
-            return value
-        self.fail(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input")
+        if not self.accept("("):
+            self.fail(f"expected '(' after {tok.text}")
+        value = self.expr()
+        self.expect_op(")")
+        return self.FUNCTIONS[tok.text](value)
 
 
 def evaluate_constant(text: str) -> float:
@@ -189,11 +160,12 @@ def reference_series(pid: PresetId) -> Series:
     Coefficients are stored as exact symbolic strings in fixture files
     shipped with the package and evaluated in double precision on load.
     """
-    fname = _REFERENCE_FILES.get(pid.name)
+    fname = _preset_info(pid.name).reference
     if fname is None:
+        available = sorted(info.name for info in PRESET_CATALOG if info.reference)
         raise OracleUnavailableError(
             f"no reference series for preset {pid.name!r} "
-            f"(available: {', '.join(sorted(_REFERENCE_FILES))})"
+            f"(available: {', '.join(available)})"
         )
     text = resources.files("emdenseries").joinpath("fixtures", fname).read_text("utf-8")
     order = None
@@ -358,6 +330,35 @@ class ComparisonReport:
         return tuple(d.k for d in self.coeff_deltas if d.rel_delta > rel_tol)
 
 
+def _point_rows(fa: Series, oracle: Callable[[float], float], sample_points) -> tuple:
+    """Float series ``fa`` against ``oracle`` at each sample point."""
+    rows = []
+    for x in sample_points:
+        xv = float(x)
+        av, bv = evaluate(fa, xv), float(oracle(xv))
+        rows.append(PointDelta(xv, av, bv, abs(av - bv)))
+    return tuple(rows)
+
+
+def _report(coeff_rows: tuple, point_rows: tuple, tolerance, exact_match) -> ComparisonReport:
+    """Report over the given rows; with a tolerance, the pointwise
+    deltas are judged, or the coefficient deltas when there are none."""
+    max_coeff = max((r.abs_delta for r in coeff_rows), default=0.0)
+    max_point = max((r.abs_delta for r in point_rows), default=0.0)
+    within = None
+    if tolerance is not None:
+        within = (max_point if point_rows else max_coeff) <= tolerance
+    return ComparisonReport(
+        coeff_deltas=coeff_rows,
+        point_deltas=point_rows,
+        max_coeff_delta=max_coeff,
+        max_point_delta=max_point,
+        tolerance=tolerance,
+        within_tolerance=within,
+        exact_match=exact_match,
+    )
+
+
 def _rel_delta(a: float, b: float) -> float:
     if a == b:
         return 0.0
@@ -387,26 +388,9 @@ def compare(
         av, bv = fa.coeffs[k], fb.coeffs[k]
         exact = (series_a.coeffs[k] == series_b.coeffs[k]) if both_rational else None
         coeff_rows.append(CoeffDelta(k, av, bv, abs(av - bv), _rel_delta(av, bv), exact))
-    point_rows = []
-    for x in sample_points or ():
-        xv = float(x)
-        av, bv = evaluate(fa, xv), evaluate(fb, xv)
-        point_rows.append(PointDelta(xv, av, bv, abs(av - bv)))
-    max_coeff = max((r.abs_delta for r in coeff_rows), default=0.0)
-    max_point = max((r.abs_delta for r in point_rows), default=0.0)
-    within = None
-    if tolerance is not None:
-        within = (max_point if point_rows else max_coeff) <= tolerance
+    point_rows = _point_rows(fa, partial(evaluate, fb), sample_points or ())
     exact_match = all(r.exact_equal for r in coeff_rows) if both_rational else None
-    return ComparisonReport(
-        coeff_deltas=tuple(coeff_rows),
-        point_deltas=tuple(point_rows),
-        max_coeff_delta=max_coeff,
-        max_point_delta=max_point,
-        tolerance=tolerance,
-        within_tolerance=within,
-        exact_match=exact_match,
-    )
+    return _report(tuple(coeff_rows), point_rows, tolerance, exact_match)
 
 
 def compare_pointwise(
@@ -416,21 +400,4 @@ def compare_pointwise(
     tolerance: Optional[float] = None,
 ) -> ComparisonReport:
     """Pointwise-only report of a series against a scalar oracle function."""
-    fa = series.to_float()
-    point_rows = []
-    for x in sample_points:
-        xv = float(x)
-        av = evaluate(fa, xv)
-        bv = float(oracle(xv))
-        point_rows.append(PointDelta(xv, av, bv, abs(av - bv)))
-    max_point = max((r.abs_delta for r in point_rows), default=0.0)
-    within = max_point <= tolerance if tolerance is not None else None
-    return ComparisonReport(
-        coeff_deltas=(),
-        point_deltas=tuple(point_rows),
-        max_coeff_delta=0.0,
-        max_point_delta=max_point,
-        tolerance=tolerance,
-        within_tolerance=within,
-        exact_match=None,
-    )
+    return _report((), _point_rows(series.to_float(), oracle, sample_points), tolerance, None)

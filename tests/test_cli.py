@@ -225,6 +225,17 @@ class TestCompare:
         assert code == 2
         assert "negative" in err
 
+    def test_closed_form_outside_its_domain_exits_2(self, capsys):
+        # with a = -1, -2 ln(1 + a x^2) is undefined from x = 1 on, which
+        # the default grid reaches
+        code, out, err = run_cli(
+            capsys, "compare", "--preset", "example5", "--param", "a=-1",
+            "--order", "16", "--against", "exact",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: 1 + a*x^2 = 0.0 is outside the solution's domain\n"
+
     def test_no_closed_form_exits_1(self, capsys):
         code, _, err = run_cli(
             capsys, "compare", "--preset", "sinh_case", "--order", "8",

@@ -77,6 +77,55 @@ CASES = [
      0, '2115168ab7f5f636e2920e72ad60ad0a386d8598256619cb75ca81f15937298a', EMPTY),
     ('eval_example6', 'eval --preset example6 --param a=3/4 --order 30 --range 0:1:1/8 --format csv',
      0, '7e07d2d68f394155b5bf1677aeaf04c77887b213b4c1cdbe9565f8df98ba86fe', EMPTY),
+    # preset listing, the exact and reference oracles, and preset error paths
+    ('presets_text', 'presets',
+     0, 'e3dc7755cfb8a00b5d8795a31ee8ac4f851199f84e69e26cfdfe5af2af9aaf12', EMPTY),
+    ('presets_csv', 'presets --format csv',
+     0, 'e10c0bab497aba05bb6e63ef882fd91358f59d7978568c0b4ffb685235e1d214', EMPTY),
+    ('exact_lane_emden_m0', 'compare --preset lane_emden --param m=0 --order 16 --against exact',
+     0, '0473c91e8fa287e0c926a2b60d6a10d35ebf2cbc110a461a6de8c0e589432353', EMPTY),
+    ('exact_lane_emden_m1', 'compare --preset lane_emden --param m=1 --order 16 --against exact',
+     0, '0bfcfb1c286002b632802964d46d2345a49b5c93d07005da47b311205d409d08', EMPTY),
+    ('exact_lane_emden_m5', 'compare --preset lane_emden --param m=5 --order 16 --against exact --mode rational',
+     0, '98ed30c5316a22522a9bc91dd961c0aa3aacc774dd1ca9c1d271150f7cc022b5', EMPTY),
+    ('exact_example5', 'compare --preset example5 --param a=1/2 --order 16 --against exact',
+     0, '3888fc6deaf2c5bb25075f17d36c92d4fb4cef77d70aae5b6590229029470c38', EMPTY),
+    ('exact_example6', 'compare --preset example6 --order 16 --against exact --format csv',
+     0, '51e02467cd189c8e0c1700d7399d240b7ceb265ff0efad74ce346e2acac9c019', EMPTY),
+    ('reference_isothermal', 'compare --preset isothermal --order 10 --against reference --mode rational',
+     0, 'fca2a2a8ba9ae3486e5dcc04bc273f6e10abda24066e11b682c7889a1858c394', '1aa8dde484383818e05b8669f44f82aefa878c07c74c69d8920dd7289ff01c5b'),
+    ('reference_sinh_case', 'compare --preset sinh_case --order 10 --against reference',
+     0, 'eaae9baf7b877292f7e7dacc178108875c84f45148e7027f7234748a468fe65a', '59047d10da27f86505d3b4facd9262ff006e15233e0b547aa6abe427c12c4822'),
+    ('reference_sin_case', 'compare --preset sin_case --order 12 --against reference --format csv',
+     0, 'bf28acaf8c37879fc6efc60165d9d370705539d890c5c97a5de120161f42a322', '77fe3ab36050336a3b1f094b1a30d123c04abd659f7aa240d35f77ed49d652e3'),
+    ('error_unknown_preset', 'solve --preset polytrope --order 10',
+     1, EMPTY, '22664d68ef6b4ad0b9bc7f7deb6a2b307f23e256b12aa0fe0f30f53dde2d117e'),
+    ('error_missing_m', 'solve --preset lane_emden --order 10',
+     1, EMPTY, 'f36cce72cc10b0c3db507e7b2da37159d7435e0d2eabb4e2593c6450015607eb'),
+    ('error_negative_m', 'solve --preset lane_emden --param m=-1 --order 10',
+     1, EMPTY, '5b2c8eece813dcb6a6ad1dd29175614deafde7d6d52ba22bfe219894de83b295'),
+    ('error_isothermal_with_m', 'solve --preset isothermal --param m=2 --order 10',
+     1, EMPTY, '08aa865cb02e8fefb26ed0088d2a9a8b3dfbd0260461f6fd9ba10c1a9954df7b'),
+    ('error_example5_a0', 'solve --preset example5 --param a=0 --order 10',
+     1, EMPTY, '81a6e80114a4223fc8e390f3881d3e790a5ff1e1598129ed27b531f22b4f2475'),
+    ('error_unknown_param', 'solve --preset example6 --param b=2 --order 10',
+     1, EMPTY, '10c6beeef024d3e58c7e6c49d8401887e336222d07cd8797bf1d36f543a10756'),
+    ('error_exact_isothermal', 'compare --preset isothermal --order 10 --against exact',
+     1, EMPTY, 'eac59faca2d4a6259db95cfd1e5e157bf38a937c3d752ce678bddf9ece4b76a1'),
+    ('error_exact_lane_emden_m2', 'compare --preset lane_emden --param m=2 --order 10 --against exact',
+     1, EMPTY, '7bad53c06ea30a86ff5fc6ae05ce3d7db59e68dcbaf2e80f03255724e82b0b6f'),
+    ('error_reference_lane_emden', 'compare --preset lane_emden --param m=1 --order 10 --against reference',
+     1, EMPTY, '85ab3295196d14b2dbe139ae3d5ef45a9e7150641e8771f3782e8fa384050539'),
+    ('error_unknown_preset_no_order', 'solve --preset polytrope',
+     1, EMPTY, '22664d68ef6b4ad0b9bc7f7deb6a2b307f23e256b12aa0fe0f30f53dde2d117e'),
+    ('error_no_order', 'eval --preset isothermal --at 1',
+     1, EMPTY, '6ee62abf4f65c124795e8fbd5abb01339d3a94b8b2b08c2bcd2025aed99d27ef'),
+    ('error_no_order_before_missing_m', 'solve --preset lane_emden',
+     1, EMPTY, '6ee62abf4f65c124795e8fbd5abb01339d3a94b8b2b08c2bcd2025aed99d27ef'),
+    ('error_unknown_param_before_missing_m', 'solve --preset lane_emden --param q=1 --order 10',
+     1, EMPTY, 'd33ad9c265c0275f942e4237cdfd7f612413faf0b653f9907f03c01c6498f8e5'),
+    ('error_lane_emden_with_a', 'compare --preset lane_emden --param m=1 --param a=2 --order 10 --against exact',
+     1, EMPTY, 'a0ad197524691d661eaeb6eca3af7a57c94068a1f1356bd0a271b82cb1d22faa'),
 ]
 
 

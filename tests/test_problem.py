@@ -25,6 +25,8 @@ from emdenseries import (
     parse_problem_file,
     validate_expr,
 )
+from emdenseries.problem import PRESET_CATALOG
+from emdenseries.validation import evaluate_constant, has_exact_solution, reference_series
 
 
 class TestParseExpression:
@@ -123,6 +125,62 @@ class TestParseNumberAndPolynomial:
     def test_polynomial_rejects_fractional_powers(self):
         with pytest.raises(ParseError):
             parse_polynomial("x^1/2")
+
+
+# Every message and column below was recorded before the three grammars
+# shared one token cursor; a refactor of the parsers must keep them.
+PARSE_ERRORS = [
+    (parse_expression, "y^", "column 3: expected a numeric exponent after '^'"),
+    (parse_expression, "sin(y+1)", "column 1: sin(...) takes a pure multiple of y; "
+     "a constant offset is only supported inside ln(...)"),
+    (parse_expression, "1+*y", "column 3: unexpected '*'"),
+    (parse_expression, "frob(y)",
+     "column 1: unknown name 'frob' (functions: exp, ln, sin, cos, sinh, cosh)"),
+    (parse_expression, "y/2 + 1", "column 2: unexpected '/'"),
+    (parse_expression, "exp(y", "column 6: expected ')'"),
+    (parse_expression, "(y + 1", "column 7: expected ')'"),
+    (parse_expression, "exp(2*)", "column 7: expected y"),
+    (parse_expression, "ln(y/)", "column 6: expected a number after '/'"),
+    (parse_expression, "ln(y/0)", "column 6: zero denominator"),
+    (parse_expression, "y y", "column 3: unexpected 'y'"),
+    (parse_expression, "", "column 1: unexpected end of input"),
+    (parse_expression, "-", "column 2: unexpected end of input"),
+    (parse_expression, "exp(y)*", "column 8: unexpected end of input"),
+    (parse_expression, "sin(x)", "column 5: expected a number or y inside the function argument"),
+    (parse_expression, "2/0", "column 1: zero denominator"),
+    (parse_expression, "y^1/0", "column 3: zero denominator"),
+    (parse_expression, "2.5.1", "column 4: unexpected character '.'"),
+    (parse_polynomial, "1+*x", "column 3: expected a number or x"),
+    (parse_polynomial, "x^1/2", "column 3: powers of x must be nonnegative integers"),
+    (parse_polynomial, "2*y", "column 3: expected x after '*'"),
+    (parse_polynomial, "x^", "column 3: expected a numeric power after '^'"),
+    (parse_polynomial, "x x", "column 3: unexpected 'x'"),
+    (parse_polynomial, "x^-1", "column 3: expected a numeric power after '^'"),
+    (parse_polynomial, "x+", "column 3: expected a number or x"),
+    (parse_polynomial, "", "column 1: expected a number or x"),
+    (parse_polynomial, "2/0*x", "column 1: zero denominator"),
+    (parse_number, "-+1", "column 2: not a number: '-+1'"),
+    (parse_number, "1/0", "column 1: zero denominator"),
+    (evaluate_constant, "sin(1", "column 6: expected ')'"),
+    (evaluate_constant, "frob(1)", "column 5: unknown constant 'frob'"),
+    (evaluate_constant, "sqrt 2", "column 6: expected '(' after sqrt"),
+    (evaluate_constant, "(1+2", "column 5: expected ')'"),
+    (evaluate_constant, "1 2", "column 3: unexpected '2'"),
+    (evaluate_constant, "2/", "column 3: unexpected end of input"),
+    (evaluate_constant, "-", "column 2: unexpected end of input"),
+    (evaluate_constant, "q", "column 2: unknown constant 'q'"),
+    (evaluate_constant, "3 $", "column 3: unexpected character '$'"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text, message", PARSE_ERRORS,
+    ids=[f"{fn.__name__}[{text}]" for fn, text, _ in PARSE_ERRORS],
+)
+def test_parse_error_text(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 FILE_TEXT = """\
@@ -293,3 +351,21 @@ class TestPresets:
     def test_example_defaults_to_a_one(self):
         assert PresetId("example5").a == F(1)
         assert PresetId("example6").a == F(1)
+
+
+def _sample_id(info):
+    # lane_emden's m has no default; m = 5 has a closed form
+    return PresetId(info.name, m=5) if info.param == "m" else PresetId(info.name)
+
+
+@pytest.mark.parametrize("info", PRESET_CATALOG, ids=lambda info: info.name)
+def test_catalog_row_agrees_with_the_problem_it_builds(info):
+    pid = _sample_id(info)
+    for mode in Mode:
+        problem = build_preset(pid, 6, mode)
+        assert problem.p == info.p and problem.y0 == info.y0
+        listed = mode.value in info.modes.split(", ")
+        assert validate_expr(problem.g, problem.y0, mode).ok == listed, mode
+    assert (info.exact_solution != "-") == has_exact_solution(pid)
+    if info.reference is not None:
+        assert reference_series(pid).coeffs[0] == info.y0

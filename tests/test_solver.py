@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -163,6 +164,26 @@ class TestResiduals:
             series = solve(problem).series
             res = residual_series(problem, series)
             assert res == Series([0] * 11, Mode.RATIONAL), pid
+
+    def test_same_order_residual_leaves_only_the_next_term(self):
+        # odd N, and an f with an odd power, make Y(N+1) nonzero, so the
+        # top residual coefficient is not zero but -(N+1)(N+p) Y(N+1)
+        custom = EmdenProblem(
+            p=2, a=1, f_poly=Series([1, 1], Mode.RATIONAL), g=Exp(F(1)),
+            y0=0, dy0=0, order=10, mode=Mode.RATIONAL,
+        )
+        cases = [
+            build_preset(PresetId("isothermal"), 11, Mode.RATIONAL),
+            build_preset(PresetId("lane_emden", m=5), 11, Mode.RATIONAL),
+            custom,
+        ]
+        for problem in cases:
+            n = problem.order
+            res = residual_series(problem, solve(problem).series)
+            assert res.coeffs[:n] == (F(0),) * n
+            next_term = solve(replace(problem, order=n + 1)).series[n + 1]
+            assert next_term != 0
+            assert res[n] == -(n + 1) * (n + problem.p) * next_term
 
     def test_truncation_shows_at_the_right_index(self):
         # an order-6 solution, re-examined with order-10 arithmetic, first
