@@ -91,6 +91,7 @@ from .validation import (
     exact_solution,
     reference_series,
     rk_oracle,
+    rk_trajectory,
 )
 
 __version__ = "0.1.0"
@@ -112,5 +113,6 @@ __all__ = [
     "residual_series", "solve", "transform_initial_conditions",
     "ComparisonReport", "OracleUnavailableError", "compare",
     "compare_pointwise", "exact_solution", "reference_series", "rk_oracle",
+    "rk_trajectory",
     "__version__",
 ]

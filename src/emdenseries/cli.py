@@ -45,7 +45,7 @@ from .validation import (
     compare_pointwise,
     exact_solution,
     reference_series,
-    rk_oracle,
+    rk_trajectory,
 )
 
 EXIT_OK = 0
@@ -209,12 +209,14 @@ def cmd_compare(args) -> int:
     elif args.against == "exact":
         report = compare_pointwise(series, partial(exact_solution, pid), xs, tolerance=args.tol)
     else:
-        def oracle(x):
-            if x == 0:
-                return float(problem.y0)
-            return rk_oracle(problem, x, x_start=min(1e-3, x / 2))
-
-        report = compare_pointwise(series, oracle, xs, tolerance=args.tol)
+        if min(xs, default=0.0) < 0:
+            raise _UsageError("--against numeric needs grid points >= 0")
+        # one integration through the grid, started below its smallest nonzero point
+        positive = [x for x in xs if x > 0]
+        x_start = min(1e-3, min(positive, default=1.0) / 2)
+        values = dict(zip(positive, rk_trajectory(problem, positive, x_start=x_start)))
+        values[0.0] = float(problem.y0)
+        report = compare_pointwise(series, values.__getitem__, xs, tolerance=args.tol)
     rows = tuple(
         (format_value(r.x), format_value(r.a), format_value(r.b), format_value(r.abs_delta))
         for r in report.point_deltas

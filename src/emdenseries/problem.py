@@ -55,6 +55,7 @@ class ParseError(ValueError):
     """Syntax or format error, carrying a 1-based position."""
 
     def __init__(self, message: str, line: Optional[int] = None, column: Optional[int] = None):
+        self.message = message
         self.line = line
         self.column = column
         where = ", ".join(

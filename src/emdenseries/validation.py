@@ -21,12 +21,14 @@ seeding error is O(x_start^(N+1)) and far below the step tolerance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
 from .expr import evaluate_scalar
+from .kernels import KernelDomainError
 from .problem import (
     PRESET_CATALOG,
     EmdenProblem,
@@ -104,16 +106,19 @@ class _ConstParser(_Cursor):
         return self.finish(self.expr())
 
     def expr(self) -> float:
-        value = self.term()
-        while op := self.accept("+-"):
-            value = value + self.term() if op == "+" else value - self.term()
-        return value
+        return self.chain("+-", self.term)
 
     def term(self) -> float:
-        value = self.factor()
-        while op := self.accept("*/"):
-            value = value * self.factor() if op == "*" else value / self.factor()
-        return value
+        return self.chain("*/", self.factor)
+
+    def chain(self, ops: str, operand) -> float:
+        """``operand (op operand)*`` over the operators in ``ops``, left to right."""
+        value = operand()
+        while True:
+            tok = self.peek()
+            if not self.accept(ops):
+                return value
+            value = _real(tok, _BINARY[tok.text], value, operand())
 
     def factor(self) -> float:
         if self.accept("-"):
@@ -122,8 +127,9 @@ class _ConstParser(_Cursor):
 
     def base(self) -> float:
         value = self.atom()
+        tok = self.peek()
         if self.accept("^"):
-            value **= self.factor()
+            value = _real(tok, _BINARY["^"], value, self.factor())
         return value
 
     def atom(self) -> float:
@@ -133,8 +139,11 @@ class _ConstParser(_Cursor):
             self.expect_op(")")
             return value
         if tok.kind == "num":
+            value = float(tok.text)
+            if math.isinf(value):
+                self.fail("number out of range")
             self.take()
-            return float(tok.text)
+            return value
         if tok.kind != "name":
             self.unexpected()
         self.take()
@@ -146,7 +155,27 @@ class _ConstParser(_Cursor):
             self.fail(f"expected '(' after {tok.text}")
         value = self.expr()
         self.expect_op(")")
-        return self.FUNCTIONS[tok.text](value)
+        return _real(tok, self.FUNCTIONS[tok.text], value)
+
+
+_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "^": operator.pow,
+}
+
+
+def _real(tok, fn, *args) -> float:
+    """``fn(*args)`` if it is a finite real number; otherwise a ParseError
+    at ``tok``, the operator or function name that computes it."""
+    try:
+        value = fn(*args)
+    except (ArithmeticError, ValueError):  # x/0, 0^-1, overflow, math domain error
+        value = math.nan
+    if isinstance(value, float) and math.isfinite(value):
+        return value
+    shown = [f"({v:g})" if v < 0 else f"{v:g}" for v in args]
+    what = tok.text.join(shown) if tok.kind == "op" else f"{tok.text}({args[0]:g})"
+    raise ParseError(f"{what} is not a finite real number", column=tok.column)
 
 
 def evaluate_constant(text: str) -> float:
@@ -176,13 +205,19 @@ def reference_series(pid: PresetId) -> Series:
             continue
         key, sep, value = line.partition(":")
         if not sep:
-            raise ParseError("expected 'k: expression'", line=lineno)
+            raise ParseError(f"fixture {fname}: expected 'k: expression'", line=lineno)
         key = key.strip()
         if key == "order":
             order = int(value)
             continue
         k = int(key)
-        entries[k] = evaluate_constant(value.strip())
+        try:
+            entries[k] = evaluate_constant(value.strip())
+        except ParseError as exc:
+            start = raw.index(":") + 1 + len(value) - len(value.lstrip())
+            raise ParseError(
+                f"fixture {fname}: {exc.message}", line=lineno, column=start + exc.column
+            ) from None
     if order is None:
         raise ParseError(f"fixture {fname} lacks an order line")
     return Series([entries.get(k, 0.0) for k in range(order + 1)], Mode.FLOAT)
@@ -231,7 +266,8 @@ def _integrate(f, x0, y0, x1, tol):
     h = min(1e-2, span / 10) if span > 0 else span
     steps = 0
     while x < x1:
-        if x + h > x1:
+        last = x + h > x1
+        if last:
             h = x1 - x
         ynew, err = _dopri_step(f, x, y, h)
         norm = 0.0
@@ -239,13 +275,14 @@ def _integrate(f, x0, y0, x1, tol):
             scale = tol + tol * max(abs(y[c]), abs(ynew[c]))
             norm = max(norm, abs(err[c]) / scale)
         if norm <= 1.0:
-            x += h
+            # x + (x1 - x) can round short of x1
+            x = x1 if last else x + h
             y = ynew
             factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm**-0.2))
         else:
             factor = max(0.2, 0.9 * norm**-0.2)
         h *= factor
-        if h < 1e-14 * max(abs(x), span):
+        if x < x1 and h < 1e-14 * max(abs(x), span):
             raise StepSizeUnderflowError(f"step size underflow at x = {x}")
         steps += 1
         if steps > 1_000_000:
@@ -253,25 +290,29 @@ def _integrate(f, x0, y0, x1, tol):
     return y
 
 
-def rk_oracle(problem: EmdenProblem, x_target, x_start: float = 1e-3, tol: float = 1e-10) -> float:
-    """Integrate the problem from just off the origin and return y(x_target).
+def rk_trajectory(
+    problem: EmdenProblem, xs: Sequence, x_start: float = 1e-3, tol: float = 1e-10
+) -> list:
+    """Integrate the problem once from just off the origin and return
+    y at each point of ``xs``, in the order given.
 
     The equation is singular at x = 0, so integration starts at
-    ``x_start > 0`` with (y, y') read off the series solution there.
-    This is an independent check on the series in the only sense
-    available: the trajectory is produced by step-wise quadrature, not
-    by the coefficient recurrence that built the series.
+    ``x_start > 0`` with (y, y') read off the series solution there,
+    then runs through the sorted, de-duplicated points, each stretch of
+    x integrated once.  Every point must be >= ``x_start``.  This is an
+    independent check on the series in the only sense available: the
+    trajectory is produced by step-wise quadrature, not by the
+    coefficient recurrence that built the series.
     """
-    xt = float(x_target)
+    targets = [float(x) for x in xs]
     if x_start <= 0:
         raise ValueError(f"x_start must be positive, got {x_start}")
-    if xt < x_start:
-        raise ValueError(f"x_target {xt} must be >= x_start {x_start}")
+    lowest = min(targets, default=x_start)
+    if lowest < x_start:
+        raise ValueError(f"x_target {lowest} must be >= x_start {x_start}")
     series = solve(problem).series.to_float()
-    y_seed = evaluate(series, x_start)
-    dy_seed = evaluate(derivative_transform(series, 1), x_start)
-    if xt == x_start:
-        return y_seed
+    reached = x_start
+    state = (evaluate(series, x_start), evaluate(derivative_transform(series, 1), x_start))
     p = float(problem.p)
     a = float(problem.a)
     f_poly = problem.f_poly.to_float()
@@ -279,10 +320,25 @@ def rk_oracle(problem: EmdenProblem, x_target, x_start: float = 1e-3, tol: float
 
     def rhs(x, state):
         yv, dyv = state
-        return (dyv, -(p / x) * dyv - a * evaluate(f_poly, x) * evaluate_scalar(g, yv))
+        try:
+            gv = evaluate_scalar(g, yv)
+        except OverflowError:  # the trajectory blows up: exp(y) or y^m past the float range
+            raise KernelDomainError(f"g(y) overflows at y = {yv} (x = {x})") from None
+        return (dyv, -(p / x) * dyv - a * evaluate(f_poly, x) * gv)
 
-    y_final = _integrate(rhs, x_start, (y_seed, dy_seed), xt, tol)
-    return y_final[0]
+    values = {}
+    for xt in sorted(set(targets)):
+        if xt > reached:
+            state = _integrate(rhs, reached, state, xt, tol)
+            reached = xt
+        values[xt] = state[0]
+    return [values[xt] for xt in targets]
+
+
+def rk_oracle(problem: EmdenProblem, x_target, x_start: float = 1e-3, tol: float = 1e-10) -> float:
+    """y(x_target) from :func:`rk_trajectory`, integrating from ``x_start``
+    (> 0, at most ``x_target``) with local error tolerance ``tol``."""
+    return rk_trajectory(problem, [x_target], x_start, tol)[0]
 
 
 # --- comparison -------------------------------------------------------------

@@ -254,6 +254,44 @@ class TestCompare:
         _, rows = csv_rows(out)
         assert len(rows) == 3
 
+    def test_numeric_oracle_on_a_quadratic_solution(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compare", "--preset", "lane_emden", "--param", "m=0",
+            "--order", "20", "--against", "numeric", "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        _, rows = csv_rows(out)
+        assert len(rows) == 21
+        for x, _, numeric, _ in rows:
+            assert float(numeric) == pytest.approx(1 - float(x) ** 2 / 6, abs=1e-12)
+
+    def test_blow_up_during_integration_exits_2(self, capsys):
+        # with a = -1 the solution -2 ln(1 - x^2) is singular at x = 1; from
+        # the stop at x = 1 the first trial step drives exp(y) past the float range
+        code, out, err = run_cli(
+            capsys, "compare", "--preset", "example5", "--param", "a=-1",
+            "--order", "2", "--against", "numeric",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: g(y) overflows at y = ") and err.count("\n") == 1
+
+    def test_numeric_oracle_rejects_negative_points(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compare", "--preset", "lane_emden", "--param", "m=1",
+            "--order", "10", "--against", "numeric", "--range=-1:1:0.5",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --against numeric needs grid points >= 0\n"
+
+    def test_exact_oracle_takes_negative_points(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compare", "--preset", "lane_emden", "--param", "m=1",
+            "--order", "10", "--against", "exact", "--range=-1:1:0.5", "--format", "csv",
+        )
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert [row[0] for row in rows] == ["-1", "-0.5", "0", "0.5", "1"]
+
 
 class TestPresets:
     def test_listing_contents(self, capsys):

@@ -172,10 +172,25 @@ PARSE_ERRORS = [
     (evaluate_constant, "3 $", "column 3: unexpected character '$'"),
 ]
 
+# Arithmetic that yields no finite real number is reported at the operator
+# or function name that computes it.
+PARSE_ERRORS += [
+    (evaluate_constant, "2/0", "column 2: 2/0 is not a finite real number"),
+    (evaluate_constant, "ln(0)", "column 1: ln(0) is not a finite real number"),
+    (evaluate_constant, "1 + sqrt(-1)", "column 5: sqrt(-1) is not a finite real number"),
+    (evaluate_constant, "10^400", "column 3: 10^400 is not a finite real number"),
+    (evaluate_constant, "exp(1000)", "column 1: exp(1000) is not a finite real number"),
+    (evaluate_constant, "(-1)^0.5", "column 5: (-1)^0.5 is not a finite real number"),
+    (evaluate_constant, "0^-1", "column 2: 0^(-1) is not a finite real number"),
+    (evaluate_constant, "10^200*10^200",
+     "column 7: 1e+200*1e+200 is not a finite real number"),
+    (evaluate_constant, "1" + "0" * 400, "column 1: number out of range"),
+]
+
 
 @pytest.mark.parametrize(
     "parse, text, message", PARSE_ERRORS,
-    ids=[f"{fn.__name__}[{text}]" for fn, text, _ in PARSE_ERRORS],
+    ids=[f"{fn.__name__}[{text[:20]}]" for fn, text, _ in PARSE_ERRORS],
 )
 def test_parse_error_text(parse, text, message):
     with pytest.raises(ParseError) as err:

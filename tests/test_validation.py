@@ -6,6 +6,7 @@ import pytest
 from emdenseries import (
     Mode,
     OracleUnavailableError,
+    ParseError,
     PresetId,
     build_preset,
     compare,
@@ -14,8 +15,10 @@ from emdenseries import (
     exact_solution,
     reference_series,
     rk_oracle,
+    rk_trajectory,
     solve,
 )
+from emdenseries import cli, solver, validation
 from emdenseries.validation import (
     DEFAULT_SAMPLE_GRID,
     evaluate_constant,
@@ -73,8 +76,6 @@ class TestConstantEvaluator:
         )
 
     def test_errors(self):
-        from emdenseries import ParseError
-
         with pytest.raises(ParseError):
             evaluate_constant("frob(1)")
         with pytest.raises(ParseError):
@@ -98,6 +99,16 @@ class TestReferenceSeries:
     def test_unavailable(self):
         with pytest.raises(OracleUnavailableError):
             reference_series(PresetId("lane_emden", m=1))
+
+    def test_fixture_fault_names_file_and_line(self, tmp_path, monkeypatch):
+        (tmp_path / "fixtures").mkdir()
+        (tmp_path / "fixtures" / "isothermal.txt").write_text("order: 4\n2: -1/6\n4:  ln(0)/7\n")
+        monkeypatch.setattr(validation.resources, "files", lambda package: tmp_path)
+        with pytest.raises(ParseError) as err:
+            reference_series(PresetId("isothermal"))
+        assert str(err.value) == (
+            "line 3, column 5: fixture isothermal.txt: ln(0) is not a finite real number"
+        )
 
 
 class TestRkOracle:
@@ -129,6 +140,86 @@ class TestRkOracle:
             rk_oracle(problem, 0.5, x_start=0.0)
         with pytest.raises(ValueError):
             rk_oracle(problem, 1e-4, x_start=1e-3)
+
+    def test_quadratic_solution_reaches_every_target(self):
+        # y = 1 - x^2/6: the error estimate is exactly 0, so steps grow
+        # fivefold and the last one is clipped to a rounding error
+        problem = build_preset(PresetId("lane_emden", m=0), 10, Mode.RATIONAL)
+        for x in (0.9, 1.3, 2.0):
+            assert rk_oracle(problem, x) == pytest.approx(1 - x * x / 6, abs=1e-12)
+
+
+NONZERO_GRID = [x for x in DEFAULT_SAMPLE_GRID if x > 0]
+EVERY_PRESET = [
+    PresetId("lane_emden", m=0), PresetId("lane_emden", m=1), PresetId("lane_emden", m=5),
+    PresetId("isothermal"), PresetId("sinh_case"), PresetId("sin_case"),
+    PresetId("example5", a=1), PresetId("example6", a=1),
+]
+
+
+def _preset_label(pid):
+    return "_".join(str(v) for v in (pid.name, pid.m, pid.a) if v is not None)
+
+
+def _count_rhs(monkeypatch):
+    """A list that grows by one per integrator right-hand side evaluation."""
+    calls = []
+    inner = validation.evaluate_scalar
+
+    def counting(g, y):
+        calls.append(y)
+        return inner(g, y)
+
+    monkeypatch.setattr(validation, "evaluate_scalar", counting)
+    return calls
+
+
+class TestRkTrajectory:
+    @pytest.mark.parametrize("pid", EVERY_PRESET, ids=_preset_label)
+    def test_matches_the_per_point_oracle(self, pid):
+        problem = build_preset(pid, 20, Mode.FLOAT)
+        values = rk_trajectory(problem, NONZERO_GRID)
+        for x, y in zip(NONZERO_GRID, values):
+            assert relclose(y, rk_oracle(problem, x), 1e-9), x
+
+    def test_values_follow_input_order(self):
+        problem = build_preset(PresetId("example6", a=1), 20, Mode.FLOAT)
+        xs = [1.5, 0.2, 2.0, 0.2, 1e-3, 1.5, 0.7] + NONZERO_GRID[::-1]
+        by_x = dict(zip(sorted(set(xs)), rk_trajectory(problem, sorted(set(xs)))))
+        assert rk_trajectory(problem, xs) == [by_x[x] for x in xs]
+
+    def test_rejects_a_point_below_the_start(self):
+        problem = build_preset(PresetId("lane_emden", m=1), 10, Mode.FLOAT)
+        with pytest.raises(ValueError):
+            rk_trajectory(problem, [0.5, 1e-4])
+
+    @pytest.mark.parametrize(
+        "pid", [PresetId("lane_emden", m=1), PresetId("isothermal"), PresetId("example6", a=1)],
+        ids=_preset_label,
+    )
+    def test_a_grid_costs_about_one_path(self, pid, monkeypatch):
+        # integrating from x_start to every point separately costs 10-14x
+        problem = build_preset(pid, 20, Mode.FLOAT)
+        calls = _count_rhs(monkeypatch)
+        rk_oracle(problem, 2.0)
+        straight = len(calls)
+        calls.clear()
+        rk_trajectory(problem, NONZERO_GRID)
+        assert len(calls) <= 2 * straight
+
+    def test_numeric_compare_solves_twice(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(problem):
+            calls.append(problem)
+            return solver.solve(problem)
+
+        monkeypatch.setattr(cli, "solve", counting)
+        monkeypatch.setattr(validation, "solve", counting)
+        argv = ["compare", "--preset", "isothermal", "--order", "20", "--against", "numeric"]
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 22
+        assert len(calls) == 2  # the CLI's series and the integrator's seed
 
 
 class TestCompare:
