@@ -81,7 +81,6 @@ from .solver import (
     SolveReport,
     residual_series,
     solve,
-    transform_initial_conditions,
 )
 from .validation import (
     ComparisonReport,
@@ -110,7 +109,7 @@ __all__ = [
     "PRESET_NAMES", "build_preset", "parse_expression", "parse_number",
     "parse_polynomial", "parse_problem_file",
     "ProblemValidationError", "SolveError", "SolveReport",
-    "residual_series", "solve", "transform_initial_conditions",
+    "residual_series", "solve",
     "ComparisonReport", "OracleUnavailableError", "compare",
     "compare_pointwise", "exact_solution", "reference_series", "rk_oracle",
     "rk_trajectory",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -30,12 +30,12 @@ from .problem import (
     PRESET_CATALOG,
     ParseError,
     PresetId,
+    _parse_problem_file,
     _preset_info,
     build_preset,
     parse_number,
-    parse_problem_file,
 )
-from .series import Mode, Series, evaluate
+from .series import Mode, evaluate
 from .solver import ProblemValidationError, SolveError, solve
 from .validation import (
     DEFAULT_SAMPLE_GRID,
@@ -135,17 +135,8 @@ def _load_problem(args):
                 data = fh.read()
         except OSError as exc:
             raise _UsageError(f"cannot read problem file {args.file!r}: {exc.strerror}") from None
-        problem = parse_problem_file(data)
-        order = args.order if args.order is not None else problem.order
-        mode = Mode(args.mode) if args.mode else problem.mode
-        if order != problem.order or mode is not problem.mode:
-            try:
-                # EmdenProblem and Series coerce every value into the new mode
-                f_poly = Series(problem.f_poly.coeffs, mode)
-                problem = replace(problem, f_poly=f_poly, order=order, mode=mode)
-            except (ValueError, TypeError) as exc:
-                raise _UsageError(str(exc)) from None
-        return problem, None
+        mode = Mode(args.mode) if args.mode else None
+        return _parse_problem_file(data, args.order, mode), None
     if args.preset:
         mode = Mode(args.mode) if args.mode else Mode.FLOAT
         try:
@@ -154,7 +145,7 @@ def _load_problem(args):
                 raise _UsageError("--order is required with --preset")
             pid = PresetId.from_params(args.preset, params)
             return build_preset(pid, args.order, mode), pid
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ArithmeticError) as exc:
             raise _UsageError(str(exc)) from None
     raise _UsageError("a problem is required: --file PATH or --preset NAME")
 

@@ -13,11 +13,16 @@ functions y^m, exp(a*y), ln(a*y+b), sin/cos(a*y), sinh/cosh(a*y).  A
 nonlinear function of anything other than plain y cannot even be built;
 composition beyond that would need chained expansions the kernel table
 does not provide.
+
+Each nonlinear node class names its kernel as ``kernel = (KernelClass,
+i)``: the node reads that kernel's F list (i = 0) or G list (i = 1),
+and its grammar name, scalar value and seed are ``names[i]``,
+``functions[i]`` and the seed rule of the kernel class.  Nothing here
+restates them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import mul
@@ -31,6 +36,7 @@ class GExpr:
     """Base class for expression nodes over the dependent variable y."""
 
     __slots__ = ()
+    kernel = None  # (kernel class, 0 for its F list or 1 for its G list)
 
 
 @dataclass(frozen=True)
@@ -58,23 +64,23 @@ class Scale(GExpr):
 
 
 @dataclass(frozen=True)
-class Sum(GExpr):
+class _Nary(GExpr):
+    """Sum or product of one or more children."""
+
     children: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
         if not self.children:
-            raise ValueError("empty sum")
+            raise ValueError(f"empty {type(self).__name__.lower()}")
 
 
-@dataclass(frozen=True)
-class Product(GExpr):
-    children: tuple
+class Sum(_Nary):
+    """The sum of the children."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
-            raise ValueError("empty product")
+
+class Product(_Nary):
+    """The product of the children."""
 
 
 @dataclass(frozen=True)
@@ -82,66 +88,50 @@ class Power(GExpr):
     """y**exponent applied to the variable directly."""
 
     exponent: object
+    kernel = (kernels.PowerKernel, 0)
 
 
 @dataclass(frozen=True)
-class Exp(GExpr):
+class _Function(GExpr):
+    """A kernel function of alpha*y (of alpha*y + beta for ln)."""
+
     alpha: object
+
+
+class Exp(_Function):
+    kernel = (kernels.ExpKernel, 0)
 
 
 @dataclass(frozen=True)
-class Log(GExpr):
-    alpha: object
+class Log(_Function):
     beta: object
+    kernel = (kernels.LogKernel, 0)
 
 
-@dataclass(frozen=True)
-class Sin(GExpr):
-    alpha: object
+class Sin(_Function):
+    kernel = (kernels.SinCosKernel, 0)
 
 
-@dataclass(frozen=True)
-class Cos(GExpr):
-    alpha: object
+class Cos(_Function):
+    kernel = (kernels.SinCosKernel, 1)
 
 
-@dataclass(frozen=True)
-class Sinh(GExpr):
-    alpha: object
+class Sinh(_Function):
+    kernel = (kernels.SinhCoshKernel, 0)
 
 
-@dataclass(frozen=True)
-class Cosh(GExpr):
-    alpha: object
-
-
-NONLINEAR_KINDS = (Power, Exp, Log, Sin, Cos, Sinh, Cosh)
+class Cosh(_Function):
+    kernel = (kernels.SinhCoshKernel, 1)
 
 
 def walk(e: GExpr):
     """Yield every node of the tree, parents after children."""
     if isinstance(e, Scale):
         yield from walk(e.child)
-    elif isinstance(e, (Sum, Product)):
+    elif isinstance(e, _Nary):
         for c in e.children:
             yield from walk(c)
     yield e
-
-
-# the functions of alpha*y, by node type; the text name is the math name
-_UNARY = {Exp: math.exp, Sin: math.sin, Cos: math.cos, Sinh: math.sinh, Cosh: math.cosh}
-
-# nonlinear leaf -> (kernel class, kernel attribute holding its coefficients);
-# the circular and hyperbolic kernels produce a pair (f, g)
-_LEAF_KERNELS = {
-    Power: (kernels.PowerKernel, "f"),
-    Exp: (kernels.ExpKernel, "f"),
-    Log: (kernels.LogKernel, "f"),
-    Sin: (kernels.SinCosKernel, "f"),
-    Cos: (kernels.SinCosKernel, "g"),
-    Sinh: (kernels.SinhCoshKernel, "f"),
-    Cosh: (kernels.SinhCoshKernel, "g"),
-}
 
 
 def _leaf_args(node: GExpr) -> tuple:
@@ -170,12 +160,18 @@ def format_expr(e: GExpr) -> str:
         text = format_expr(child)
         return f"({text})" if isinstance(child, wrap_kinds) else text
 
+    def factor(child):
+        # the parser takes no sign after '*'
+        if isinstance(child, Const) and child.value < 0:
+            return f"({num(child.value)})"
+        return grouped(child, (Sum, Scale))
+
     if isinstance(e, Var):
         return "y"
     if isinstance(e, Const):
         return num(e.value)
     if isinstance(e, Scale):
-        return f"{num(e.factor)}*{grouped(e.child, (Sum, Scale))}"
+        return f"{num(e.factor)}*{factor(e.child)}"
     if isinstance(e, Sum):
         def term(c):
             # negative terms print as subtraction: the parser rejects "+ -"
@@ -187,13 +183,12 @@ def format_expr(e: GExpr) -> str:
 
         return grouped(e.children[0], (Sum,)) + "".join(term(c) for c in e.children[1:])
     if isinstance(e, Product):
-        return "*".join(grouped(c, (Sum, Scale)) for c in e.children)
+        return "*".join(map(factor, e.children))
     if isinstance(e, Power):
         return f"y^{num(e.exponent)}"
-    if type(e) in _UNARY:
-        return f"{_UNARY[type(e)].__name__}({arg(e.alpha)})"
-    if isinstance(e, Log):
-        return f"ln({arg(e.alpha, e.beta)})"
+    if isinstance(e, _Function):
+        cls, i = e.kernel
+        return f"{cls.names[i]}({arg(*_leaf_args(e))})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -203,10 +198,23 @@ def evaluate_scalar(e: GExpr, y: float) -> float:
     Used by the off-origin integrator, which works on numbers rather
     than coefficient streams.
     """
+    # the integrator runs this once per node per stage: the common kinds
+    # are tested first, Const last (the parser folds it into Scale)
+    if isinstance(e, _Function):
+        s = float(e.alpha) * y
+        if isinstance(e, Log):
+            s += float(e.beta)
+            if s <= 0:
+                raise kernels.KernelDomainError(f"ln argument {s} is not positive")
+        cls, i = e.kernel
+        return cls.functions[i](s)
     if isinstance(e, Var):
         return float(y)
-    if isinstance(e, Const):
-        return float(e.value)
+    if isinstance(e, Power):
+        m = float(e.exponent)
+        if y < 0 and not m.is_integer():
+            raise kernels.KernelDomainError(f"y^({e.exponent}) at negative y = {y}")
+        return float(y) ** m
     if isinstance(e, Scale):
         return float(e.factor) * evaluate_scalar(e.child, y)
     if isinstance(e, Sum):
@@ -216,18 +224,8 @@ def evaluate_scalar(e: GExpr, y: float) -> float:
         for c in e.children:
             out *= evaluate_scalar(c, y)
         return out
-    if isinstance(e, Power):
-        m = float(e.exponent)
-        if y < 0 and not m.is_integer():
-            raise kernels.KernelDomainError(f"y^({e.exponent}) at negative y = {y}")
-        return float(y) ** m
-    if type(e) in _UNARY:
-        return _UNARY[type(e)](float(e.alpha) * y)
-    if isinstance(e, Log):
-        d = float(e.alpha) * y + float(e.beta)
-        if d <= 0:
-            raise kernels.KernelDomainError(f"ln argument {d} is not positive")
-        return math.log(d)
+    if isinstance(e, Const):
+        return float(e.value)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -256,34 +254,23 @@ def validate_expr(e: GExpr, y0, mode: Mode) -> ValidationReport:
 
     Runs each nonlinear leaf's seed computation and records what fails
     (log of a nonpositive argument, singular power seed, irrational seed
-    in rational mode, cross-mode constants).  An empty report means the
-    expression can be transformed.
+    in rational mode, cross-mode constants, a seed that overflows).  An
+    empty report means the expression can be transformed.
     """
+    failures = (ValueError, TypeError, ArithmeticError)
     findings = []
     try:
         y0 = coerce(y0, mode)
-    except (ValueError, TypeError) as exc:
+    except failures as exc:
         return ValidationReport((Finding("y(0)", str(exc)),))
     for node in walk(e):
         label = format_expr(node)
-        if isinstance(node, (Const, Scale)):
-            value = node.value if isinstance(node, Const) else node.factor
-            try:
-                coerce(value, mode)
-            except (ValueError, TypeError) as exc:
-                findings.append(Finding(label, str(exc)))
-            continue
-        leaf = _LEAF_KERNELS.get(type(node))
-        if leaf is None:
-            continue
         try:
-            kernel = leaf[0](*_leaf_args(node), mode)
-        except (ValueError, TypeError) as exc:
-            findings.append(Finding(label, str(exc)))
-            continue
-        try:
-            kernel.advance([y0])
-        except (ValueError, TypeError) as exc:
+            if isinstance(node, (Const, Scale)):
+                coerce(node.value if isinstance(node, Const) else node.factor, mode)
+            elif node.kernel is not None:
+                node.kernel[0](*_leaf_args(node), mode).advance([y0])
+        except failures as exc:
             findings.append(Finding(label, str(exc)))
     return ValidationReport(tuple(findings))
 
@@ -326,15 +313,14 @@ class ExprState:
 
     def _compile(self, node: GExpr, slots: dict, kernels_by_args: dict) -> list:
         """Append the steps that compute ``node`` and return its list."""
-        leaf = _LEAF_KERNELS.get(type(node))
-        if leaf is not None:
-            cls, half = leaf
+        if node.kernel is not None:
+            cls, i = node.kernel
             args = _leaf_args(node)
             key = (cls, repr(args))
             if key not in kernels_by_args:
                 kernels_by_args[key] = cls(*args, self.mode)
                 self._steps.append((_KERNEL, None, kernels_by_args[key], None))
-            return getattr(kernels_by_args[key], half)
+            return getattr(kernels_by_args[key], "fg"[i])
         if isinstance(node, Product):
             left = slots[repr(node.children[0])]
             for child in node.children[1:]:

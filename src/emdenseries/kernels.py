@@ -14,10 +14,16 @@ whole point of the streaming interface.  Each kernel instance belongs to
 one solve session and must not be shared; fresh instances run in
 parallel safely.
 
+Each kernel class is the one place that states its functions: its
+``functions`` are the scalar functions of the seed argument (math.exp,
+or math.sin and math.cos for a pair) and its ``names`` their names in
+the expression grammar.  The expression nodes, the parser, the text
+form and the scalar evaluator all read them from here.
+
 Rational mode keeps every coefficient exact, which is only possible when
-the seed is exact: e^0, ln 1, sin 0 and friends.  Kernels refuse
-irrational seeds in rational mode (:class:`TranscendentalSeedError`)
-rather than rounding them.
+the seed is exact: e^0, ln 1, sin 0 and friends.  :meth:`Kernel._seed`
+refuses every other seed in rational mode
+(:class:`TranscendentalSeedError`) rather than rounding it.
 """
 
 from __future__ import annotations
@@ -92,6 +98,8 @@ class Kernel:
     """Base for the streaming transforms: grows F(0..k) one index per call."""
 
     paired = False
+    functions: tuple = ()  # scalar f (and g for a pair) of the seed argument
+    names: tuple = ()  # their names in the expression grammar
 
     def __init__(self, mode: Mode):
         self.mode = mode
@@ -125,6 +133,20 @@ class Kernel:
         """F(k) from Y(0..k); paired kernels return (F(k), G(k)) and
         record G(k) themselves."""
         raise NotImplementedError
+
+    def _seed(self, s, exact_at, need: str) -> list:
+        """F(0) (and G(0)) at the seed argument s: each of ``functions``
+        at s in float mode.  Rational mode takes s == exact_at only, where
+        every value is exactly 0 or 1; ``need`` states that condition."""
+        if self.mode is Mode.FLOAT:
+            return [fn(s) for fn in self.functions]
+        if s != exact_at:
+            values = ", ".join(f"{name}({s})" for name in self.names)
+            verb = "are" if len(self.names) > 1 else "is"
+            raise TranscendentalSeedError(
+                f"{values} {verb} irrational; rational mode needs {need}"
+            )
+        return [Fraction(fn(exact_at)) for fn in self.functions]
 
 
 class PowerKernel(Kernel):
@@ -198,6 +220,9 @@ class ExpKernel(Kernel):
         F(k) = (alpha/k) * sum_{r=0..k-1} (r+1) Y(r+1) F(k-1-r).
     """
 
+    functions = (math.exp,)
+    names = ("exp",)
+
     def __init__(self, alpha, mode: Mode):
         super().__init__(mode)
         self.alpha = coerce(alpha, mode)
@@ -205,13 +230,7 @@ class ExpKernel(Kernel):
     def _step(self, k, y):
         if k == 0:
             s = self.alpha * coerce(y[0], self.mode)
-            if self.mode is Mode.RATIONAL:
-                if s != 0:
-                    raise TranscendentalSeedError(
-                        f"exp({s}) is irrational; rational mode needs alpha*Y(0) == 0"
-                    )
-                return one(self.mode)
-            return math.exp(s)
+            return self._seed(s, 0, "alpha*Y(0) == 0")[0]
         acc = dot(y[1 : k + 1], reversed(self.f), zero(self.mode), range(1, k + 1))
         return self.alpha * acc / k
 
@@ -224,6 +243,9 @@ class LogKernel(Kernel):
 
     (the sum is empty at k = 1, leaving F(1) = alpha Y(1) / d).
     """
+
+    functions = (math.log,)
+    names = ("ln",)
 
     def __init__(self, alpha, beta, mode: Mode):
         super().__init__(mode)
@@ -239,13 +261,7 @@ class LogKernel(Kernel):
                     f"ln argument alpha*Y(0)+beta = {d} is not positive"
                 )
             self._d = d
-            if self.mode is Mode.RATIONAL:
-                if d != 1:
-                    raise TranscendentalSeedError(
-                        f"ln({d}) is irrational; rational mode needs alpha*Y(0)+beta == 1"
-                    )
-                return zero(self.mode)
-            return math.log(d)
+            return self._seed(d, 1, "alpha*Y(0)+beta == 1")[0]
         acc = dot(self.f[1:], y[k - 1 : 0 : -1], zero(self.mode), range(1, k))
         return self.alpha * (y[k] - acc / k) / self._d
 
@@ -273,12 +289,10 @@ class _CircularKernel(Kernel):
     def coefficients(self):
         return tuple(self.f), tuple(self.g)
 
-    def _seeds(self, s):
-        raise NotImplementedError
-
     def _step(self, k, y):
         if k == 0:
-            fv, gv = self._seeds(self.alpha * coerce(y[0], self.mode))
+            s = self.alpha * coerce(y[0], self.mode)
+            fv, gv = self._seed(s, 0, "alpha*Y(0) == 0")
         else:
             w = list(map(mul, range(k, 0, -1), y[k:0:-1]))  # (k-r) Y(k-r), r = 0..k-1
             fv = self.alpha * dot(w, self.g, zero(self.mode)) / k
@@ -291,30 +305,16 @@ class SinCosKernel(_CircularKernel):
     """Paired transform of sin(alpha*y) and cos(alpha*y)."""
 
     _sign = -1
-
-    def _seeds(self, s):
-        if self.mode is Mode.RATIONAL:
-            if s != 0:
-                raise TranscendentalSeedError(
-                    f"sin({s}), cos({s}) are irrational; rational mode needs alpha*Y(0) == 0"
-                )
-            return zero(self.mode), one(self.mode)
-        return math.sin(s), math.cos(s)
+    functions = (math.sin, math.cos)
+    names = ("sin", "cos")
 
 
 class SinhCoshKernel(_CircularKernel):
     """Paired transform of sinh(alpha*y) and cosh(alpha*y)."""
 
     _sign = 1
-
-    def _seeds(self, s):
-        if self.mode is Mode.RATIONAL:
-            if s != 0:
-                raise TranscendentalSeedError(
-                    f"sinh({s}), cosh({s}) are irrational; rational mode needs alpha*Y(0) == 0"
-                )
-            return zero(self.mode), one(self.mode)
-        return math.sinh(s), math.cosh(s)
+    functions = (math.sinh, math.cosh)
+    names = ("sinh", "cosh")
 
 
 def batch_transform(kernel: Kernel, y: Series):

@@ -34,8 +34,6 @@ from typing import Callable, Optional
 
 from .expr import (
     Const,
-    Cos,
-    Cosh,
     Exp,
     GExpr,
     Log,
@@ -46,6 +44,7 @@ from .expr import (
     Sinh,
     Sum,
     Var,
+    _Function,
 )
 from .kernels import KernelDomainError
 from .series import Mode, Number, Series, coerce
@@ -245,7 +244,8 @@ class _ExprParser(_Cursor):
     ``y/2`` shorthand for (1/2)*y inside function arguments.
     """
 
-    FUNCTIONS = {"exp": Exp, "ln": Log, "sin": Sin, "cos": Cos, "sinh": Sinh, "cosh": Cosh}
+    # function name -> node class, named by the kernel each node class reads
+    FUNCTIONS = {cls.kernel[0].names[cls.kernel[1]]: cls for cls in _Function.__subclasses__()}
 
     def parse(self) -> GExpr:
         return self.finish(self.expr())
@@ -405,6 +405,13 @@ def parse_problem_file(data) -> EmdenProblem:
     and ``[solve]`` (order, mode); ``#`` starts a comment; a, f and dy0
     may be omitted (defaults 1, 1, 0).  Accepts bytes (UTF-8) or str.
     """
+    return _parse_problem_file(data)
+
+
+def _parse_problem_file(data, order: Optional[int] = None, mode: Optional[Mode] = None):
+    """:func:`parse_problem_file`, with ``order`` and ``mode`` (when
+    given) replacing the file's own; the values are still exact here,
+    so a float file can be solved in rational mode."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -463,18 +470,20 @@ def parse_problem_file(data) -> EmdenProblem:
 
     mode_text = entries[("solve", "mode")][0].lower()
     try:
-        mode = Mode(mode_text)
+        file_mode = Mode(mode_text)
     except ValueError:
         raise ParseError(
             f"mode must be 'rational' or 'float', got {mode_text!r}",
             line=entries[("solve", "mode")][1],
         ) from None
+    mode = mode or file_mode
 
     order_text, order_line, _ = entries[("solve", "order")]
     try:
-        order = int(order_text)
+        file_order = int(order_text)
     except ValueError:
         raise ParseError(f"order must be an integer, got {order_text!r}", line=order_line) from None
+    order = file_order if order is None else order
 
     p = parsed("equation", "p", parse_number)
     a = parsed("equation", "a", parse_number)
@@ -488,7 +497,7 @@ def parse_problem_file(data) -> EmdenProblem:
             p=p, a=a, f_poly=Series(f_coeffs, mode), g=g, y0=y0, dy0=dy0,
             order=order, mode=mode,
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:
         raise ParseError(str(exc)) from None
 
 

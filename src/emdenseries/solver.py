@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .expr import ExprState, validate_expr
 from .kernels import KernelDomainError, TranscendentalSeedError
 from .problem import EmdenProblem
-from .series import Series, coerce, guarded_sum, zero
+from .series import Series, guarded_sum, zero
 
 
 class ProblemValidationError(ValueError):
@@ -63,17 +63,6 @@ class SolveReport:
     kernel_calls: int
 
 
-def transform_initial_conditions(y0, dy0):
-    """Initial data as the first two coefficients: Y(0) = y(0), Y(1) = y'(0).
-
-    The scaled-derivative definition Y(k) = y^(k)(0)/k! makes both
-    immediate; y'(0) must be zero for the problem class handled here.
-    """
-    if dy0 != 0:
-        raise ValueError(f"y'(0) must be 0, got {dy0!r}")
-    return y0, dy0
-
-
 def _forcing_support(problem: EmdenProblem) -> list:
     """(r, XF(r)) for the nonzero coefficients of x*f(x), r ascending."""
     return [(r, c) for r, c in enumerate(problem.f_poly.coeffs, start=1) if c != 0]
@@ -106,8 +95,7 @@ def solve(problem: EmdenProblem) -> SolveReport:
         raise ProblemValidationError(report)
     mode = problem.mode
     warnings: list = []
-    y0, dy0 = transform_initial_conditions(problem.y0, problem.dy0)
-    y = [coerce(y0, mode), coerce(dy0, mode)]
+    y = [problem.y0, problem.dy0]  # Y(0) = y(0), Y(1) = y'(0) = 0, both in mode
     support = _forcing_support(problem)
     state = ExprState(problem.g, mode, on_warn=warnings.append)
     g_prefix: list = []

@@ -10,8 +10,9 @@ the fixture keeps the quoted value so that :func:`compare` surfaces the
 difference instead of hiding it.  Known cases:
 
 * isothermal, x^10: quoted -4087/1796256000 vs exact -629/224532000;
-* sinh case, x^2: quoted (e^2+1)/(12e) where the recurrence (and the
-  quoted x^4 term itself) point to (e^2-1)/(12e).
+* sinh case, x^2, x^6 and x^8: quoted -(e^2+1)/(12e) where the
+  recurrence (and the quoted x^4 term itself) point to -(e^2-1)/(12e),
+  and interior sign slips of the same kind at x^6 and x^8.
 
 The integrator is a Dormand-Prince 5(4) embedded pair started a little
 off the singular origin, seeded from the series solution there; its

@@ -99,6 +99,50 @@ class TestSolve:
         )
         assert code == 1 and "order" in err
 
+    def test_float_file_solves_in_rational_mode(self, capsys, problems_dir, tmp_path):
+        # --mode applies while the file's values are still exact
+        source = problems_dir / "lane_emden_m5.efp"
+        copy = tmp_path / "m5_float.efp"
+        copy.write_text(source.read_text().replace("mode = rational", "mode = float"))
+        want = run_cli(capsys, "solve", "--file", str(source))
+        assert want[0] == 0
+        assert run_cli(capsys, "solve", "--file", str(copy), "--mode", "rational") == want
+        code, out, _ = run_cli(capsys, "solve", "--file", str(copy), "--mode", "rational",
+                               "--order", "4", "--format", "csv")
+        assert code == 0
+        assert out == "k,coefficient\n0,1\n1,0\n2,-1/6\n3,0\n4,1/24\n"
+
+    def test_irrational_file_rejects_rational_mode(self, capsys, problems_dir):
+        code, out, err = run_cli(
+            capsys, "solve", "--file", str(problems_dir / "sin_case.efp"), "--mode", "rational",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: problem cannot be transformed: sin(y): ")
+
+    @pytest.mark.parametrize("g, y0, mode", [
+        ("exp(1000*y)", "1", "float"),  # math range error
+        ("y^400", "10", "float"),  # errno ERANGE
+        ("y^3/2", "1" + "0" * 400, "rational"),  # the root's float guess overflows
+    ], ids=["exp", "power", "root"])
+    def test_seed_overflow_is_a_validation_error(self, capsys, tmp_path, g, y0, mode):
+        path = tmp_path / "overflow.efp"
+        path.write_text(f"[equation]\np = 2\ng = {g}\n[initial]\ny0 = {y0}\n"
+                        f"[solve]\norder = 6\nmode = {mode}\n")
+        code, out, err = run_cli(capsys, "solve", "--file", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: problem cannot be transformed: {g}: ")
+        assert err.count("\n") == 1
+
+    def test_value_beyond_float_range_is_a_usage_error(self, capsys, tmp_path):
+        huge = "1" + "0" * 400
+        path = tmp_path / "huge.efp"
+        path.write_text(f"[equation]\np = 2\ng = y\n[initial]\ny0 = {huge}\n"
+                        "[solve]\norder = 6\nmode = float\n")
+        expected = (1, "", "error: integer division result too large for a float\n")
+        assert run_cli(capsys, "solve", "--file", str(path)) == expected
+        assert run_cli(capsys, "solve", "--preset", "example6", "--param", f"a={huge}",
+                       "--order", "4", "--mode", "float") == expected
+
     def test_param_rejected_with_file(self, capsys, problems_dir):
         code, _, err = run_cli(
             capsys, "solve", "--file", str(problems_dir / "isothermal.efp"),

@@ -1,13 +1,18 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emdenseries import (
     Const,
     Cos,
+    Cosh,
     Exp,
     ExprState,
+    KernelDomainError,
     Log,
     Mode,
     ModeMismatchError,
@@ -209,3 +214,62 @@ class TestFormatting:
         assert format_expr(Log(F(2), F(-1))) == "ln(2*y-1)"
         assert format_expr(Power(F(3, 2))) == "y^3/2"
         assert format_expr(Sin(F(1))) == "sin(y)"
+
+    def test_negative_constant_factor_is_parenthesised(self):
+        assert format_expr(Product((Var(), Const(-2)))) == "y*(-2)"
+        assert format_expr(Scale(F(3), Const(F(-1, 2)))) == "3*(-1/2)"
+        assert parse_expression("y*(-2)") == Scale(F(-2), Var())
+        assert parse_expression("3*(-1/2)") == Const(F(-3, 2))
+
+
+# Random trees over every node kind, with small exact constants; the
+# scalar y is drawn from [1/4, 2], where every y^m is defined.
+_numbers = st.sampled_from(sorted({F(n, d) for n in range(-12, 13) for d in (1, 2, 3, 4)}))
+_leaves = st.one_of(
+    st.just(Var()),
+    st.builds(Const, _numbers),
+    st.builds(Power, _numbers),
+    *(st.builds(node, _numbers) for node in (Exp, Sin, Cos, Sinh, Cosh)),
+    st.builds(Log, _numbers, _numbers),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.builds(Scale, _numbers, children),
+        st.lists(children, min_size=1, max_size=3).map(lambda cs: Sum(tuple(cs))),
+        st.lists(children, min_size=1, max_size=3).map(lambda cs: Product(tuple(cs))),
+    ),
+    max_leaves=8,
+)
+_ys = st.floats(min_value=0.25, max_value=2.0)
+
+
+def _value(e, y):
+    """evaluate_scalar, or KernelDomainError (ln of a nonpositive argument)."""
+    try:
+        return evaluate_scalar(e, y)
+    except KernelDomainError as exc:
+        return type(exc)
+
+
+class TestTreeProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_trees, _ys)
+    def test_format_reparses_to_the_same_function(self, tree, y):
+        again = parse_expression(format_expr(tree))
+        want, got = _value(tree, y), _value(again, y)
+        if want is KernelDomainError or got is KernelDomainError:
+            assert got is want
+        else:
+            assert math.isclose(got, want, rel_tol=1e-12)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_trees, _ys)
+    def test_float_seed_equals_scalar_value(self, tree, y):
+        # the kernel seeds and evaluate_scalar read the same functions
+        want = _value(tree, y)
+        try:
+            got = ExprState(tree, Mode.FLOAT).advance([y])
+        except KernelDomainError as exc:
+            got = type(exc)
+        assert got == want

@@ -15,26 +15,10 @@ from emdenseries import (
     evaluate,
     residual_series,
     solve,
-    transform_initial_conditions,
 )
 
 import oracles
 from conftest import rational
-
-
-class TestInitialConditions:
-    def test_unit_start(self):
-        assert transform_initial_conditions(F(1), F(0)) == (F(1), F(0))
-
-    def test_zero_start(self):
-        assert transform_initial_conditions(0, 0) == (0, 0)
-
-    def test_negative_start(self):
-        assert transform_initial_conditions(F(-3), F(0)) == (F(-3), F(0))
-
-    def test_nonzero_slope_rejected(self):
-        with pytest.raises(ValueError):
-            transform_initial_conditions(F(1), F(2))
 
 
 def lane(m, order=10, mode=Mode.RATIONAL):
