@@ -22,7 +22,7 @@ from emdenseries import (
 for name in ("sinh_case", "sin_case"):
     pid = PresetId(name)
     try:
-        solve(build_preset(pid, 10, Mode.RATIONAL))
+        build_preset(pid, 10, Mode.RATIONAL)
     except ProblemValidationError as exc:
         print(f"{name} in rational mode: {exc}")
 

@@ -67,6 +67,7 @@ from .problem import (
     EmdenProblem,
     ParseError,
     PresetId,
+    ProblemValidationError,
     PRESET_CATALOG,
     PRESET_NAMES,
     build_preset,
@@ -75,13 +76,7 @@ from .problem import (
     parse_polynomial,
     parse_problem_file,
 )
-from .solver import (
-    ProblemValidationError,
-    SolveError,
-    SolveReport,
-    residual_series,
-    solve,
-)
+from .solver import SolveReport, residual_series, solve
 from .validation import (
     ComparisonReport,
     OracleUnavailableError,
@@ -105,11 +100,10 @@ __all__ = [
     "Const", "Cos", "Cosh", "Exp", "ExprState", "GExpr", "Log", "Power",
     "Product", "Scale", "Sin", "Sinh", "Sum", "Var", "evaluate_scalar",
     "format_expr", "validate_expr",
-    "EmdenProblem", "ParseError", "PresetId", "PRESET_CATALOG",
-    "PRESET_NAMES", "build_preset", "parse_expression", "parse_number",
-    "parse_polynomial", "parse_problem_file",
-    "ProblemValidationError", "SolveError", "SolveReport",
-    "residual_series", "solve",
+    "EmdenProblem", "ParseError", "PresetId", "ProblemValidationError",
+    "PRESET_CATALOG", "PRESET_NAMES", "build_preset", "parse_expression",
+    "parse_number", "parse_polynomial", "parse_problem_file",
+    "SolveReport", "residual_series", "solve",
     "ComparisonReport", "OracleUnavailableError", "compare",
     "compare_pointwise", "exact_solution", "reference_series", "rk_oracle",
     "rk_trajectory",

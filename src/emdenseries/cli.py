@@ -9,12 +9,12 @@ Four subcommands::
                          [--range LO:HI:STEP] [--tol T]
     emdenseries presets
 
-Exit codes: 0 success; 1 usage, parse, or validation failure; 2 a
-domain error while solving or integrating; 3 a comparison exceeded the
-requested --tol.  Tables go to stdout (CSV: comma-separated, LF line
-endings, header row first); messages go to stderr.  Identical
-invocations produce byte-identical output: rationals print as p/q and
-floats with 17 significant digits.
+Exit codes: 0 success; 1 usage, parse, or validation failure; 2 an
+oracle failed: the integrator left g's domain or its step underflowed,
+or a closed form was outside its domain; 3 a comparison exceeded
+--tol.  Tables go to stdout (CSV: comma-separated, LF line endings,
+header row first); messages go to stderr.  Identical invocations
+produce byte-identical output: rationals as p/q, floats with 17 digits.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .kernels import KernelDomainError, TranscendentalSeedError
+from .kernels import KernelDomainError
 from .problem import (
     PRESET_CATALOG,
     ParseError,
@@ -36,7 +36,7 @@ from .problem import (
     parse_number,
 )
 from .series import Mode, evaluate
-from .solver import ProblemValidationError, SolveError, solve
+from .solver import solve
 from .validation import (
     DEFAULT_SAMPLE_GRID,
     OracleUnavailableError,
@@ -304,10 +304,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (_UsageError, ParseError, ProblemValidationError, OracleUnavailableError) as exc:
+    except (_UsageError, ParseError, OracleUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolveError, KernelDomainError, TranscendentalSeedError, StepSizeUnderflowError) as exc:
+    except (KernelDomainError, StepSizeUnderflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -218,7 +218,10 @@ def evaluate_scalar(e: GExpr, y: float) -> float:
     if isinstance(e, Scale):
         return float(e.factor) * evaluate_scalar(e.child, y)
     if isinstance(e, Sum):
-        return sum(evaluate_scalar(c, y) for c in e.children)
+        out = 0.0  # left to right, as ExprState adds (sum() compensates from 3.12 on)
+        for c in e.children:
+            out += evaluate_scalar(c, y)
+        return out
     if isinstance(e, Product):
         out = 1.0
         for c in e.children:
@@ -353,10 +356,7 @@ class ExprState:
     def advance(self, y_prefix: Sequence[Number]) -> Number:
         """Consume Y(0..k) for k == next_index; return G(k) of the root."""
         k = self.next_index
-        if len(y_prefix) != k + 1:
-            raise kernels.PrefixLengthError(
-                f"expected Y(0..{k}) ({k + 1} values), got {len(y_prefix)}"
-            )
+        kernels.check_prefix(y_prefix, k)
         mode, warn = self.mode, self._on_warn
         for op, out, a, b in self._steps:
             if op == _KERNEL:

@@ -56,6 +56,12 @@ class PrefixLengthError(ValueError):
     """The Y prefix handed to ``advance`` does not match the next index."""
 
 
+def check_prefix(y_prefix, k: int):
+    """PrefixLengthError unless ``y_prefix`` holds exactly Y(0..k)."""
+    if len(y_prefix) != k + 1:
+        raise PrefixLengthError(f"expected Y(0..{k}) ({k + 1} values), got {len(y_prefix)}")
+
+
 def _as_integer(value):
     """Return ``value`` as a plain int when it is integral, else None."""
     if isinstance(value, bool):
@@ -70,14 +76,16 @@ def _as_integer(value):
 
 
 def _int_root(n: int, q: int):
-    """Exact q-th root of a nonnegative int, or None."""
+    """Exact q-th root of a nonnegative int of any size, or None: integer
+    Newton steps from 2**ceil(bits/q), above the root, down to its floor."""
     if n in (0, 1):
         return n
-    guess = round(n ** (1.0 / q))
-    for cand in (guess - 1, guess, guess + 1):
-        if cand >= 0 and cand**q == n:
-            return cand
-    return None
+    x = 1 << -(-n.bit_length() // q)
+    while True:
+        nxt = ((q - 1) * x + n // x ** (q - 1)) // q
+        if nxt >= x:
+            return x if x**q == n else None
+        x = nxt
 
 
 def _exact_rational_power(base: Fraction, exponent: Fraction) -> Fraction:
@@ -120,10 +128,7 @@ class Kernel:
         holds by construction.
         """
         k = len(self.f)
-        if len(y_prefix) != k + 1:
-            raise PrefixLengthError(
-                f"expected Y(0..{k}) ({k + 1} values), got {len(y_prefix)}"
-            )
+        check_prefix(y_prefix, k)
         coerce(y_prefix[k], self.mode)  # reject cross-mode prefixes early
         value = self._step(k, y_prefix)
         self.f.append(value[0] if self.paired else value)

@@ -45,6 +45,7 @@ from .expr import (
     Sum,
     Var,
     _Function,
+    validate_expr,
 )
 from .kernels import KernelDomainError
 from .series import Mode, Number, Series, coerce
@@ -63,6 +64,14 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
+class ProblemValidationError(ValueError):
+    """The nonlinearity fails a kernel precondition at the initial value."""
+
+    def __init__(self, report):
+        self.report = report
+        super().__init__(f"problem cannot be transformed: {report}")
+
+
 @dataclass(frozen=True)
 class EmdenProblem:
     """Full statement of one singular initial-value problem.
@@ -71,6 +80,8 @@ class EmdenProblem:
     ``a`` the constant multiplying f(x) g(y), ``f_poly`` the polynomial
     f(x) as a coefficient series, ``g`` the nonlinearity tree, and
     ``order`` the truncation order every computation will use.
+    A g with a kernel seed missing at y(0) in the problem's mode raises
+    :class:`ProblemValidationError`, so every problem built can be solved.
     """
 
     p: Number
@@ -103,6 +114,9 @@ class EmdenProblem:
             raise ValueError(
                 f"f(x) degree {self.f_poly.order} exceeds the solve order {self.order}"
             )
+        report = validate_expr(self.g, self.y0, mode)
+        if not report.ok:
+            raise ProblemValidationError(report)
 
 
 # --- tokenizer shared by the small text grammars ---------------------------

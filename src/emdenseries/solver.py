@@ -17,34 +17,18 @@ nonzero XF only (one term per step when f = 1), and
 :func:`residual_series` reuses the same step.
 
 For p > 0 the denominator (k+1)(k+p) is positive for every k >= 0, so
-no step can divide by zero; that is checked once when the problem is
-built (p > 0 is a model invariant).
+no step can divide by zero; past its seed a kernel divides only by k or
+by a seed value it has checked, so once g has every seed at y(0) no
+step can fail.  Both are checked once, when the problem is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import ExprState, validate_expr
-from .kernels import KernelDomainError, TranscendentalSeedError
+from .expr import ExprState
 from .problem import EmdenProblem
 from .series import Series, guarded_sum, zero
-
-
-class ProblemValidationError(ValueError):
-    """The nonlinearity fails a kernel precondition at the initial value."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(f"problem cannot be transformed: {report}")
-
-
-class SolveError(ValueError):
-    """A kernel or domain error occurred mid-recurrence."""
-
-    def __init__(self, index: int, message: str):
-        self.index = index
-        super().__init__(f"at coefficient index {index}: {message}")
 
 
 @dataclass(frozen=True)
@@ -76,10 +60,7 @@ def _step(state: ExprState, g: list, y, k: int, support, on_warn=None):
 
     over the nonzero XF (the sum is empty at k = 0)."""
     if k > 0:
-        try:
-            g.append(state.advance(y[:k]))
-        except (KernelDomainError, TranscendentalSeedError, ZeroDivisionError, OverflowError) as exc:
-            raise SolveError(k - 1, str(exc)) from exc
+        g.append(state.advance(y[:k]))
     return guarded_sum(
         (c * g[k - r] for r, c in support if r <= k),
         zero(state.mode),
@@ -90,9 +71,6 @@ def _step(state: ExprState, g: list, y, k: int, support, on_warn=None):
 
 def solve(problem: EmdenProblem) -> SolveReport:
     """Run the recurrence up to the problem's truncation order."""
-    report = validate_expr(problem.g, problem.y0, problem.mode)
-    if not report.ok:
-        raise ProblemValidationError(report)
     mode = problem.mode
     warnings: list = []
     y = [problem.y0, problem.dy0]  # Y(0) = y(0), Y(1) = y'(0) = 0, both in mode
@@ -116,8 +94,8 @@ def solve(problem: EmdenProblem) -> SolveReport:
 def residual_series(problem: EmdenProblem, series: Series) -> Series:
     """Apply the x-multiplied operator to a candidate series.
 
-    Re-expands g over the candidate with batch kernel runs (no reuse of
-    anything a solve cached) and returns the coefficients of
+    Re-expands g over the candidate through a fresh :class:`ExprState`
+    (no reuse of anything a solve cached) and returns the coefficients of
 
         x y'' + p y' + a x f(x) g(y)
 
@@ -126,7 +104,9 @@ def residual_series(problem: EmdenProblem, series: Series) -> Series:
     -(N+1)(N+p) Y(N+1), where Y(N+1) is the coefficient an order-(N+1)
     solve would add; it is zero only when Y(N+1) is, as at even N with
     an even f.  Padding a lower-order solution up and evaluating it in a
-    higher-order problem exposes where its accuracy stops.
+    higher-order problem exposes where its accuracy stops.  A candidate
+    whose Y(0) has no seed in g raises what that kernel seed raises
+    (KernelDomainError, TranscendentalSeedError, or OverflowError).
     """
     if series.order != problem.order:
         raise ValueError(

@@ -122,7 +122,7 @@ class TestSolve:
     @pytest.mark.parametrize("g, y0, mode", [
         ("exp(1000*y)", "1", "float"),  # math range error
         ("y^400", "10", "float"),  # errno ERANGE
-        ("y^3/2", "1" + "0" * 400, "rational"),  # the root's float guess overflows
+        ("y^3/2", "2" + "0" * 400, "rational"),  # an irrational root beyond float range
     ], ids=["exp", "power", "root"])
     def test_seed_overflow_is_a_validation_error(self, capsys, tmp_path, g, y0, mode):
         path = tmp_path / "overflow.efp"
@@ -132,6 +132,17 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: problem cannot be transformed: {g}: ")
         assert err.count("\n") == 1
+
+    def test_exact_root_beyond_float_range_solves(self, capsys, tmp_path):
+        # 10^400 = (10^200)^2, so y^3/2 has the exact seed 10^600
+        path = tmp_path / "huge_root.efp"
+        path.write_text(f"[equation]\np = 2\ng = y^3/2\n[initial]\ny0 = {10**400}\n"
+                        "[solve]\norder = 6\nmode = rational\n")
+        code, out, err = run_cli(capsys, "solve", "--file", str(path), "--format", "csv")
+        assert (code, err) == (0, "")
+        _, rows = csv_rows(out)
+        assert rows[0] == ["0", str(10**400)]
+        assert rows[2] == ["2", str(F(-10**600, 6))]  # Y(2) = -G(0) / (2 * 3)
 
     def test_value_beyond_float_range_is_a_usage_error(self, capsys, tmp_path):
         huge = "1" + "0" * 400
@@ -193,6 +204,14 @@ class TestEval:
         )
         _, rows = csv_rows(out)
         assert len(rows) == 21
+
+    def test_irrational_file_rejects_rational_mode(self, capsys, problems_dir):
+        got = run_cli(
+            capsys, "eval", "--file", str(problems_dir / "sin_case.efp"), "--mode", "rational",
+            "--at", "1",
+        )
+        assert got == (1, "", "error: problem cannot be transformed: sin(y): sin(1), cos(1) "
+                              "are irrational; rational mode needs alpha*Y(0) == 0\n")
 
     def test_needs_exactly_one_target(self, capsys):
         base = ["eval", "--preset", "isothermal", "--order", "8"]

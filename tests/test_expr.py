@@ -203,6 +203,10 @@ class TestScalarEvaluation:
         with pytest.raises(KernelDomainError):
             evaluate_scalar(Log(F(1), F(0)), -1.0)
 
+    def test_sum_adds_left_to_right(self):
+        # as ExprState does; a compensated sum would give 1.0
+        assert evaluate_scalar(Sum((Const(1e16), Const(1.0), Const(-1e16))), 1.0) == 0.0
+
 
 class TestFormatting:
     def test_example6_rendering(self):

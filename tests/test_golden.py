@@ -126,6 +126,27 @@ CASES = [
      1, EMPTY, 'd33ad9c265c0275f942e4237cdfd7f612413faf0b653f9907f03c01c6498f8e5'),
     ('error_lane_emden_with_a', 'compare --preset lane_emden --param m=1 --param a=2 --order 10 --against exact',
      1, EMPTY, 'a0ad197524691d661eaeb6eca3af7a57c94068a1f1356bd0a271b82cb1d22faa'),
+    # malformed options, and presets whose g has no exact seed in rational mode
+    ('error_bad_param_value', 'solve --preset lane_emden --param m=abc --order 10',
+     1, EMPTY, '1a05ce237d380c1e2ce51ce098c07ed4eb56efff884173222cb609b80da3b4c6'),
+    ('error_range_parts', 'eval --preset isothermal --order 10 --range 0:1',
+     1, EMPTY, '1f9fb70629010f0ff83172f399835e750734fdabf2c451353fe727febdbbe4af'),
+    ('error_range_number', 'eval --preset isothermal --order 10 --range 0:x:1/8',
+     1, EMPTY, '6b44cece353d3933a30d5a68c0002aa553b1d5270dd623e04f97dcbcf14990b4'),
+    ('error_range_step', 'eval --preset isothermal --order 10 --range 0:1:0',
+     1, EMPTY, '4a86bee2bff8f663b6bc69e5241911479ece4f06a48cbc004d01e8a7ba7f439e'),
+    ('error_range_reversed', 'eval --preset isothermal --order 10 --range 1:0:1/8',
+     1, EMPTY, 'da4dc3c30da85905f982501e0bf5419a1f3832407965c62f86c6291a9bfe3f15'),
+    ('error_file_and_preset', 'solve --file isothermal.efp --preset isothermal --order 10',
+     1, EMPTY, 'c80e408b0cf6b36ce6b116e9275637517e4eb589a5d7a115f30471531b644bd0'),
+    ('error_bad_at', 'eval --preset isothermal --order 10 --at 1/0',
+     1, EMPTY, '44a87e891aa7c523af863f3190e015fed838a053185a78f2325d03b830b7ef75'),
+    ('error_compare_without_preset', 'compare --file isothermal.efp --order 10 --against exact',
+     1, EMPTY, '0965536f2fdbc8e2f9a54fad156a1eafc82c0490dbe7853d24cf9234c0cf179f'),
+    ('error_sin_case_rational', 'solve --preset sin_case --order 6 --mode rational',
+     1, EMPTY, '5ff083f73119613bb7d44674617b9c977f47df77ae4a2a026c9121d733d56065'),
+    ('error_sinh_case_rational_numeric', 'compare --preset sinh_case --order 6 --mode rational --against numeric',
+     1, EMPTY, '572a68d817b8fd6bce3e1736e03b530b38aebb13b6e133b41718daec64c5b5c6'),
 ]
 
 

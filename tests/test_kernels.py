@@ -86,6 +86,12 @@ class TestPowerKernel:
         with pytest.raises(TranscendentalSeedError):
             PowerKernel(F(1, 2), Mode.RATIONAL).advance([F(2)])
 
+    def test_root_seed_beyond_float_range(self):
+        huge = F(10**420, 7**175)  # (10^60 / 7^25)^7
+        assert PowerKernel(F(3, 7), Mode.RATIONAL).advance([huge]) == F(10**180, 7**75)
+        with pytest.raises(TranscendentalSeedError):
+            PowerKernel(F(3, 7), Mode.RATIONAL).advance([huge + 1])
+
     def test_half_power_matches_binomial_series(self):
         # (1+x)^(1/2) around 1: exact binomial coefficients
         y = [F(1), F(1), F(0), F(0), F(0)]

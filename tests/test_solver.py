@@ -3,14 +3,28 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emdenseries import (
+    Const,
+    Cos,
+    Cosh,
     EmdenProblem,
     Exp,
+    KernelDomainError,
+    Log,
     Mode,
+    Power,
     PresetId,
     ProblemValidationError,
+    Product,
+    Scale,
     Series,
+    Sin,
+    Sinh,
+    Sum,
+    Var,
     build_preset,
     evaluate,
     residual_series,
@@ -130,9 +144,12 @@ class TestRecurrenceStructure:
         assert report.g_prefix[0] == F(1)
 
     def test_validation_failure_raises(self):
-        problem = build_preset(PresetId("sinh_case"), 8, Mode.RATIONAL)
-        with pytest.raises(ProblemValidationError):
-            solve(problem)
+        with pytest.raises(ProblemValidationError) as info:
+            build_preset(PresetId("sinh_case"), 8, Mode.RATIONAL)
+        assert str(info.value) == (
+            "problem cannot be transformed: sinh(y): sinh(1), cosh(1) are irrational; "
+            "rational mode needs alpha*Y(0) == 0"
+        )
 
 
 class TestResiduals:
@@ -178,6 +195,12 @@ class TestResiduals:
         assert all(res[k] == 0 for k in range(7))
         assert res[7] != 0
 
+    def test_candidate_outside_the_domain_of_g_raises_the_seed_error(self):
+        # the problem's check covers its own y(0), not a candidate's Y(0)
+        problem = build_preset(PresetId("example6"), 4, Mode.RATIONAL)  # g holds ln(y)
+        with pytest.raises(KernelDomainError):
+            residual_series(problem, Series([0] * 5, Mode.RATIONAL))
+
     def test_order_mismatch_rejected(self):
         problem = build_preset(PresetId("isothermal"), 10, Mode.RATIONAL)
         series = solve(build_preset(PresetId("isothermal"), 6, Mode.RATIONAL)).series
@@ -192,3 +215,56 @@ class TestResiduals:
             res = residual_series(wide, series.pad(14))
             values[n] = abs(evaluate(res, 0.2))
         assert values[10] <= values[6] / 10
+
+
+# Random problems: every kind of g node, y(0) from zero and the edges of
+# the float range to plain values, f of degree <= 2, orders up to 12.
+_small = st.sampled_from([F(n, d) for n in range(-3, 4) for d in (1, 2)])
+_exponents = st.sampled_from([0, 1, 2, 3, -1, F(1, 2), F(3, 2), F(-1, 2)])
+_leaves = st.one_of(
+    st.just(Var()),
+    st.builds(Const, _small),
+    st.builds(Power, _exponents),
+    *(st.builds(node, _small) for node in (Exp, Sin, Cos, Sinh, Cosh)),
+    st.builds(Log, _small, _small),
+)
+_g_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.builds(Scale, _small, children),
+        st.lists(children, min_size=2, max_size=3).map(lambda cs: Sum(tuple(cs))),
+        st.lists(children, min_size=2, max_size=3).map(lambda cs: Product(tuple(cs))),
+    ),
+    max_leaves=4,
+)
+_y0s = st.sampled_from(
+    [F(0), F(1), F(-1), F(1, 4), F(9, 4), F(2), F(10**320), F(1, 10**320)]
+)
+
+
+class TestRandomProblems:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        p=st.sampled_from([F(1, 2), F(1), F(2), F(5, 2), F(8)]),
+        a=_small,
+        f=st.lists(_small, min_size=1, max_size=3),
+        g=_g_trees,
+        y0=_y0s,
+        order=st.integers(2, 11),
+        mode=st.sampled_from(Mode),
+    )
+    def test_a_problem_that_builds_solves(self, p, a, f, g, y0, order, mode):
+        try:
+            problem = EmdenProblem(
+                p=p, a=a, f_poly=Series(f, mode), g=g, y0=y0, dy0=0, order=order, mode=mode
+            )
+        except (ProblemValidationError, OverflowError):  # no seed at y(0), or y(0) > float max
+            return
+        low = solve(problem).series
+        high = solve(replace(problem, order=order + 1)).series
+        # bit for bit, so NaN and signed zeros compare too
+        assert list(map(repr, high.coeffs[: order + 1])) == list(map(repr, low.coeffs))
+        if mode is Mode.RATIONAL:
+            res = residual_series(problem, low)
+            assert res.coeffs[:order] == (F(0),) * order
+            assert res[order] == -(order + 1) * (order + problem.p) * high[order + 1]
