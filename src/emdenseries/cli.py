@@ -41,6 +41,7 @@ from .validation import (
     DEFAULT_SAMPLE_GRID,
     OracleUnavailableError,
     StepSizeUnderflowError,
+    _closed_form,
     compare,
     compare_pointwise,
     exact_solution,
@@ -168,7 +169,6 @@ def cmd_solve(args) -> int:
 
 def cmd_eval(args) -> int:
     problem, _ = _load_problem(args)
-    series = solve(problem).series
     if (args.at is None) == (args.range is None):
         raise _UsageError("eval needs exactly one of --at or --range")
     if args.at is not None:
@@ -178,6 +178,7 @@ def cmd_eval(args) -> int:
             raise _UsageError(f"bad --at value {args.at!r}: {exc}") from None
     else:
         points = _parse_range(args.range)
+    series = solve(problem).series
     rows = []
     for x in points:
         xv = x if problem.mode is Mode.RATIONAL else float(x)
@@ -190,18 +191,22 @@ def cmd_compare(args) -> int:
     if not args.preset:
         raise _UsageError("compare works on --preset problems (oracles are preset-keyed)")
     problem, pid = _load_problem(args)
-    series = solve(problem).series
     points = _parse_range(args.range) if args.range else DEFAULT_SAMPLE_GRID
     xs = [float(x) for x in points]
+    # every argument and oracle check comes before the solve
     if args.against == "reference":
         ref = reference_series(pid)
+    elif args.against == "exact":
+        _closed_form(pid)  # OracleUnavailableError without one
+    elif min(xs, default=0.0) < 0:
+        raise _UsageError("--against numeric needs grid points >= 0")
+    series = solve(problem).series
+    if args.against == "reference":
         top = max(series.order, ref.order)
         report = compare(series.to_float().pad(top), ref.pad(top), xs, tolerance=args.tol)
     elif args.against == "exact":
         report = compare_pointwise(series, partial(exact_solution, pid), xs, tolerance=args.tol)
     else:
-        if min(xs, default=0.0) < 0:
-            raise _UsageError("--against numeric needs grid points >= 0")
         # one integration through the grid, started below its smallest nonzero point
         positive = [x for x in xs if x > 0]
         x_start = min(1e-3, min(positive, default=1.0) / 2)

@@ -298,10 +298,12 @@ class ExprState:
         expr: GExpr,
         mode: Mode,
         on_warn: Optional[Callable[[str], None]] = None,
+        _stride: int = 1,
     ):
         self.expr = expr
         self.mode = mode
         self._on_warn = on_warn
+        self._stride = _stride  # warning labels name index k as x-space index stride*k
         self.kernel_calls = 0
         self._steps: list = []  # (op, output list, operand, operand)
         # Keys are reprs, not nodes: 1 == 1.0 and 0.0 == -0.0 compare
@@ -357,7 +359,7 @@ class ExprState:
         """Consume Y(0..k) for k == next_index; return G(k) of the root."""
         k = self.next_index
         kernels.check_prefix(y_prefix, k)
-        mode, warn = self.mode, self._on_warn
+        mode, warn, at = self.mode, self._on_warn, k * self._stride
         for op, out, a, b in self._steps:
             if op == _KERNEL:
                 self.kernel_calls += 1
@@ -369,8 +371,8 @@ class ExprState:
             elif op == _SCALE:
                 out.append(a * b[k])
             elif op == _SUM:
-                out.append(guarded_sum((c[k] for c in a), zero(mode), warn, f"sum at index {k}"))
+                out.append(guarded_sum((c[k] for c in a), zero(mode), warn, f"sum at index {at}"))
             else:  # _PRODUCT: the Cauchy product of two slots at index k
                 terms = map(mul, a, reversed(b))
-                out.append(guarded_sum(terms, zero(mode), warn, f"product convolution at index {k}"))
+                out.append(guarded_sum(terms, zero(mode), warn, f"product convolution at index {at}"))
         return self._root[k]

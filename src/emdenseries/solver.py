@@ -16,6 +16,18 @@ recurrence is causal and runs in a single pass.  The sum runs over the
 nonzero XF only (one term per step when f = 1), and
 :func:`residual_series` reuses the same step.
 
+When f is even (every odd coefficient zero, as for every preset), so is
+the solution, y(x) = u(t) with t = x^2, and :func:`solve` runs the
+kernels over U(j) = Y(2j) alone, taking only the odd steps k = 2j+1.
+In t the equation is t u'' + q u' + (a/4) f g = 0 with q = (p+1)/2; its
+denominator 4(j+1)(j+q) is (k+1)(k+p), which the step computes in that
+x-space form.  Float bytes do not change: each kernel weight in x is its
+t weight times a power of two (r = 2s, k = 2j), which scales partial
+sums exactly, and the zero terms the x-space sums add change nothing
+(an overflow aside: 0 * inf is nan).  Each odd Y(k+1) is the signed zero
+its skipped step gives, -a*0/((k+1)(k+p)), and warnings keep their
+x-space labels.  Half the steps, each convolution half as long.
+
 For p > 0 the denominator (k+1)(k+p) is positive for every k >= 0, so
 no step can divide by zero; past its seed a kernel divides only by k or
 by a seed value it has checked, so once g has every seed at y(0) no
@@ -35,14 +47,13 @@ from .series import Series, guarded_sum, zero
 class SolveReport:
     """Everything one solve produced.
 
-    ``g_prefix`` holds the transform coefficients of g(y) the recurrence
-    consumed, ``warnings`` any float-mode cancellation diagnostics, and
-    ``kernel_calls`` the number of kernel steps taken.
+    ``warnings`` holds any float-mode cancellation diagnostics and
+    ``kernel_calls`` the number of kernel steps taken (one per even
+    index when f is even).
     """
 
     series: Series
     problem: EmdenProblem
-    g_prefix: tuple
     warnings: tuple
     kernel_calls: int
 
@@ -52,43 +63,59 @@ def _forcing_support(problem: EmdenProblem) -> list:
     return [(r, c) for r, c in enumerate(problem.f_poly.coeffs, start=1) if c != 0]
 
 
-def _step(state: ExprState, g: list, y, k: int, support, on_warn=None):
-    """One recurrence step at index k: append G(k-1), which needs only
-    Y(0..k-1), to ``g`` and return the forcing sum
+def _step(state: ExprState, g: list, w: list, k: int, support, stride=1, on_warn=None):
+    """One recurrence step at x-space index k over W(j) = Y(stride*j):
+    append G(k-1), which needs only Y(0..k-1), to ``g`` (as its entry
+    (k-1)/stride) and return the forcing sum
 
         sum_{1<=r<=k} XF(r) G(k-r)
 
     over the nonzero XF (the sum is empty at k = 0)."""
     if k > 0:
-        g.append(state.advance(y[:k]))
+        g.append(state.advance(w[: (k - 1) // stride + 1]))
     return guarded_sum(
-        (c * g[k - r] for r, c in support if r <= k),
+        (c * g[(k - r) // stride] for r, c in support if r <= k),
         zero(state.mode),
         on_warn,
         f"recurrence step k={k}",
     )
 
 
-def solve(problem: EmdenProblem) -> SolveReport:
-    """Run the recurrence up to the problem's truncation order."""
-    mode = problem.mode
+def _recurrence(problem: EmdenProblem, stride: int) -> SolveReport:
+    """Run the recurrence over Y(0), Y(stride), Y(2*stride), ...
+
+    Stride 1 is every step.  Stride 2 needs an even f: it takes the odd
+    steps k only, and fills each odd Y(k+1) with the value its skipped
+    step k gives."""
+    mode, a, p, n = problem.mode, problem.a, problem.p, problem.order
     warnings: list = []
-    y = [problem.y0, problem.dy0]  # Y(0) = y(0), Y(1) = y'(0) = 0, both in mode
+    state = ExprState(problem.g, mode, on_warn=warnings.append, _stride=stride)
     support = _forcing_support(problem)
-    state = ExprState(problem.g, mode, on_warn=warnings.append)
-    g_prefix: list = []
-    a = problem.a
-    p = problem.p
-    for k in range(1, problem.order):
-        conv = _step(state, g_prefix, y, k, support, warnings.append)
-        y.append(-a * conv / ((k + 1) * (k + p)))
+    w = [problem.y0] if stride == 2 else [problem.y0, problem.dy0]
+    g: list = []
+    for k in range(1, n, stride):
+        conv = _step(state, g, w, k, support, stride, warnings.append)
+        w.append(-a * conv / ((k + 1) * (k + p)))
+    y = w
+    if stride == 2:
+        # Y(1) = y'(0); each skipped step k sums zeros only
+        odd = [-a * zero(mode) / ((k + 1) * (k + p)) for k in range(2, n, 2)]
+        y = [zero(mode)] * (n + 1)
+        y[0::2] = w
+        y[1::2] = [problem.dy0] + odd
     return SolveReport(
         series=Series(y, mode),
         problem=problem,
-        g_prefix=tuple(g_prefix),
         warnings=tuple(warnings),
         kernel_calls=state.kernel_calls,
     )
+
+
+def solve(problem: EmdenProblem) -> SolveReport:
+    """Run the recurrence up to the problem's truncation order, in
+    t = x^2 when f is even."""
+    even = all(c == 0 for c in problem.f_poly.coeffs[1::2])
+    return _recurrence(problem, 2 if even else 1)
 
 
 def residual_series(problem: EmdenProblem, series: Series) -> Series:
@@ -107,6 +134,9 @@ def residual_series(problem: EmdenProblem, series: Series) -> Series:
     higher-order problem exposes where its accuracy stops.  A candidate
     whose Y(0) has no seed in g raises what that kernel seed raises
     (KernelDomainError, TranscendentalSeedError, or OverflowError).
+    Every step runs in x, even f or not: this is the independent check
+    of the t = x^2 solve, and a candidate's odd coefficients need not
+    be zero.
     """
     if series.order != problem.order:
         raise ValueError(

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
-from .expr import evaluate_scalar
+from .expr import GExpr, Power, evaluate_scalar
 from .kernels import KernelDomainError
 from .problem import (
     PRESET_CATALOG,
@@ -291,6 +291,23 @@ def _integrate(f, x0, y0, x1, tol):
     return y
 
 
+def _float_fields(e: GExpr) -> GExpr:
+    """``e`` rebuilt with float constants, so that :func:`evaluate_scalar`
+    does not convert a Fraction on every call.  A non-integer exponent
+    stays as written: the domain error of y^m prints it."""
+    if isinstance(e, Power) and not float(e.exponent).is_integer():
+        return e
+
+    def convert(value):
+        if isinstance(value, GExpr):
+            return _float_fields(value)
+        if isinstance(value, tuple):
+            return tuple(map(_float_fields, value))
+        return float(value)
+
+    return type(e)(*(convert(getattr(e, f.name)) for f in fields(e)))
+
+
 def rk_trajectory(
     problem: EmdenProblem, xs: Sequence, x_start: float = 1e-3, tol: float = 1e-10
 ) -> list:
@@ -317,7 +334,10 @@ def rk_trajectory(
     p = float(problem.p)
     a = float(problem.a)
     f_poly = problem.f_poly.to_float()
-    g = problem.g
+    try:
+        g = _float_fields(problem.g)
+    except OverflowError:  # a rational constant past the float range overflows per call instead
+        g = problem.g
 
     def rhs(x, state):
         yv, dyv = state

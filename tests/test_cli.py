@@ -338,6 +338,15 @@ class TestCompare:
         assert (code, out) == (2, "")
         assert err.startswith("error: g(y) overflows at y = ") and err.count("\n") == 1
 
+    def test_fractional_power_of_a_negative_value_exits_2(self, capsys):
+        # past its first zero near x = 3.65 the m = 3/2 solution is negative
+        code, out, err = run_cli(
+            capsys, "compare", "--preset", "lane_emden", "--param", "m=3/2",
+            "--order", "20", "--against", "numeric", "--range", "3.5:4:0.25",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: y^(3/2) at negative y = -") and err.count("\n") == 1
+
     def test_numeric_oracle_rejects_negative_points(self, capsys):
         code, out, err = run_cli(
             capsys, "compare", "--preset", "lane_emden", "--param", "m=1",
@@ -354,6 +363,35 @@ class TestCompare:
         assert code == 0
         _, rows = csv_rows(out)
         assert [row[0] for row in rows] == ["-1", "-0.5", "0", "0.5", "1"]
+
+
+class TestChecksBeforeSolve:
+    """Bad arguments and missing oracles are reported before any solve."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ("eval --preset example5 --order 250 --mode rational",
+         "eval needs exactly one of --at or --range"),
+        ("eval --preset isothermal --order 10 --at 1 --range 0:1:1/2",
+         "eval needs exactly one of --at or --range"),
+        ("eval --preset isothermal --order 10 --at 1/0", "bad --at value '1/0': "),
+        ("eval --preset isothermal --order 10 --range 1:0:1/8", "--range needs LO <= HI"),
+        ("compare --preset isothermal --order 10 --against exact --range 0:1",
+         "--range expects LO:HI:STEP, got '0:1'"),
+        ("compare --preset lane_emden --param m=1 --order 10 --against reference",
+         "no reference series for preset 'lane_emden'"),
+        ("compare --preset isothermal --order 10 --against exact",
+         "no closed form for preset 'isothermal'"),
+        ("compare --preset lane_emden --param m=1 --order 10 --against numeric --range=-1:1:1/2",
+         "--against numeric needs grid points >= 0"),
+    ])
+    def test_usage_error_without_solving(self, capsys, monkeypatch, argv, message):
+        def no_solve(problem):
+            raise AssertionError("solve called before the arguments were checked")
+
+        monkeypatch.setattr("emdenseries.cli.solve", no_solve)
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 class TestPresets:

@@ -147,6 +147,11 @@ CASES = [
      1, EMPTY, '5ff083f73119613bb7d44674617b9c977f47df77ae4a2a026c9121d733d56065'),
     ('error_sinh_case_rational_numeric', 'compare --preset sinh_case --order 6 --mode rational --against numeric',
      1, EMPTY, '572a68d817b8fd6bce3e1736e03b530b38aebb13b6e133b41718daec64c5b5c6'),
+    # an odd order ends on an odd zero; a negative a prints that zero as 0, not -0
+    ('solve_float_lane_emden_41', 'solve --preset lane_emden --param m=3/2 --order 41 --mode float',
+     0, '1bc79157ccb81e064fdbf8e85b642c957da417b43c80552307f9eb37f0e76e6e', EMPTY),
+    ('solve_float_example6_negative_a_40', 'solve --preset example6 --param a=-1/2 --order 40 --mode float',
+     0, 'a98a34f2487873f292e64eb1ed224a16d5e5dd377b52434c3949435c1297378a', EMPTY),
 ]
 
 
@@ -160,3 +165,40 @@ def test_cli_output_unchanged(argv, code, out_sha, err_sha):
     assert rc == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == out_sha
     assert hashlib.sha256(err.getvalue().encode()).hexdigest() == err_sha
+
+
+# f = 1 - 2x^2 + x^4 is even but not constant: every other case has f = 1
+EVEN_PROFILE = """\
+[equation]
+p = 2
+a = 1
+f = 1 - 2*x^2 + x^4
+g = y^2 + exp(y) - 1/2*sin(y)*cos(y)
+
+[initial]
+y0 = 0
+
+[solve]
+order = 30
+mode = rational
+"""
+
+FILE_CASES = [
+    ('solve_rational_even_profile', 'solve --file {} --mode rational',
+     0, 'c218cd347573b377a457915185fe1f88952148973fade98c8d2458efcaa76dc2', EMPTY),
+    ('solve_float_even_profile', 'solve --file {} --mode float --order 41',
+     0, 'b3063b9cff6e8f6e16e64f1e4eb52844794fedc71708fdf492cdad04ac71f4c0', EMPTY),
+    ('eval_rational_even_profile', 'eval --file {} --mode rational --range 0:1:1/8 --format csv',
+     0, 'dbfca5f956972a6d3e6265b644d09fe770ad40631f73e6d827dacdc4dea91d7a', EMPTY),
+    ('eval_float_even_profile', 'eval --file {} --mode float --range 0:1:1/8 --format csv',
+     0, '5a6a6b97100c9d0870396d2150878bb3fee4250bf3105e537e29d5a1e3c0dbd2', EMPTY),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out_sha, err_sha", [c[1:] for c in FILE_CASES], ids=[c[0] for c in FILE_CASES]
+)
+def test_problem_file_output_unchanged(tmp_path, argv, code, out_sha, err_sha):
+    path = tmp_path / "even_profile.efp"
+    path.write_text(EVEN_PROFILE)
+    test_cli_output_unchanged(argv.format(path), code, out_sha, err_sha)

@@ -30,6 +30,7 @@ from emdenseries import (
     residual_series,
     solve,
 )
+from emdenseries.solver import _recurrence
 
 import oracles
 from conftest import rational
@@ -139,9 +140,9 @@ class TestRecurrenceStructure:
     def test_report_contents(self):
         report = solve(build_preset(PresetId("isothermal"), 8, Mode.RATIONAL))
         assert report.series.order == 8
-        assert report.kernel_calls == 7  # one exp kernel advanced to index 6
+        # f = 1 is even: one exp kernel advanced over U(j) = Y(2j), t-index 0..3
+        assert report.kernel_calls == 4
         assert report.warnings == ()
-        assert report.g_prefix[0] == F(1)
 
     def test_validation_failure_raises(self):
         with pytest.raises(ProblemValidationError) as info:
@@ -268,3 +269,85 @@ class TestRandomProblems:
             res = residual_series(problem, low)
             assert res.coeffs[:order] == (F(0),) * order
             assert res[order] == -(order + 1) * (order + problem.p) * high[order + 1]
+
+
+def _same_solve(problem):
+    """The stride-2 solve in t = x^2 equals the stride-1 solve in x: every
+    coefficient by repr (signed zeros included) and every warning by text."""
+    fast, slow = _recurrence(problem, 2), _recurrence(problem, 1)
+    assert list(map(repr, fast.series.coeffs)) == list(map(repr, slow.series.coeffs))
+    assert fast.warnings == slow.warnings
+    assert solve(problem).kernel_calls == fast.kernel_calls  # solve takes stride 2
+    return fast, slow
+
+
+class TestEvenProfileInT:
+    PRESETS = [
+        PresetId("lane_emden", m=F(3, 2)), PresetId("isothermal"), PresetId("sinh_case"),
+        PresetId("sin_case"), PresetId("example5", a=1), PresetId("example6", a=1),
+        PresetId("example6", a=F(-1, 2)),
+    ]
+
+    @pytest.mark.parametrize("order", [2, 3, 10, 41, 200])
+    def test_presets_match_every_step_in_x(self, order):
+        for pid in self.PRESETS:
+            modes = [Mode.FLOAT] if pid.name in ("sin_case", "sinh_case") else list(Mode)
+            for mode in modes:
+                fast, slow = _same_solve(build_preset(pid, order, mode))
+                if order > 2:
+                    assert fast.kernel_calls < slow.kernel_calls, (pid, mode)
+
+    def test_float_warnings_keep_their_x_space_labels(self):
+        fast, _ = _same_solve(build_preset(PresetId("example6"), 200, Mode.FLOAT))
+        assert len(fast.warnings) == 47
+        # x-space indices: even, and past the last t index 100
+        at = [int(w.split(":")[0].rsplit(" ", 1)[1]) for w in fast.warnings]
+        assert all(k % 2 == 0 for k in at) and max(at) == 198
+
+    def test_negative_a_gives_positive_odd_zeros(self):
+        low = solve(build_preset(PresetId("example6", a=F(-1, 2)), 9, Mode.FLOAT)).series
+        high = solve(build_preset(PresetId("example6", a=F(1, 2)), 9, Mode.FLOAT)).series
+        assert [repr(c) for c in low.coeffs[3::2]] == ["0.0"] * 4
+        assert [repr(c) for c in high.coeffs[3::2]] == ["-0.0"] * 4
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_even_polynomial_profile(self, mode):
+        # f = 1 - 2x^2 + x^4: the forcing sum has three terms per step
+        for order in (4, 5, 10, 41):
+            problem = EmdenProblem(
+                p=F(7, 3), a=2, f_poly=Series([1, 0, -2, 0, 1], mode),
+                g=Sum((Power(2), Exp(F(1)), Scale(F(-1, 2), Product((Sin(F(1)), Cos(F(1))))))),
+                y0=0, dy0=0, order=order, mode=mode,
+            )
+            _same_solve(problem)
+
+    def test_odd_profile_keeps_every_step(self):
+        problem = EmdenProblem(
+            p=2, a=1, f_poly=Series([1, 1], Mode.RATIONAL), g=Exp(F(1)),
+            y0=0, dy0=0, order=8, mode=Mode.RATIONAL,
+        )
+        assert solve(problem) == _recurrence(problem, 1)
+
+    # p = 1/3 and 7/10 are not dyadic: (p+1)/2 then rounds unlike 2j+1+p
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        p=st.sampled_from([F(1, 3), F(1, 2), F(7, 10), F(2), F(5, 2), F(8)]),
+        a=_small,
+        f=st.lists(_small, min_size=1, max_size=3),
+        g=_g_trees,
+        y0=_y0s,
+        order=st.integers(4, 24),
+        mode=st.sampled_from(Mode),
+    )
+    def test_random_even_problems_match_every_step_in_x(self, p, a, f, g, y0, order, mode):
+        even_f = [c for ci in f for c in (ci, 0)][:-1]  # f(0) + f(2) x^2 + f(4) x^4
+        try:
+            problem = EmdenProblem(
+                p=p, a=a, f_poly=Series(even_f, mode), g=g, y0=y0, dy0=0, order=order, mode=mode
+            )
+        except (ProblemValidationError, OverflowError):  # no seed at y(0), or y(0) > float max
+            return
+        slow = _recurrence(problem, 1)
+        if mode is Mode.FLOAT and not all(map(math.isfinite, slow.series.coeffs)):
+            return  # 0 * inf at an odd index turns into nan in x only
+        _same_solve(problem)

@@ -4,10 +4,17 @@ from fractions import Fraction as F
 import pytest
 
 from emdenseries import (
+    EmdenProblem,
+    KernelDomainError,
     Mode,
     OracleUnavailableError,
     ParseError,
+    Power,
     PresetId,
+    Scale,
+    Series,
+    Sum,
+    Var,
     build_preset,
     compare,
     compare_pointwise,
@@ -206,6 +213,24 @@ class TestRkTrajectory:
         calls.clear()
         rk_trajectory(problem, NONZERO_GRID)
         assert len(calls) <= 2 * straight
+
+    @pytest.mark.parametrize("pid", EVERY_PRESET, ids=_preset_label)
+    def test_float_constants_change_no_bit(self, pid, monkeypatch):
+        # g's constants are converted to float once, before the integration
+        problem = build_preset(pid, 20, Mode.FLOAT)
+        once = rk_trajectory(problem, NONZERO_GRID)
+        monkeypatch.setattr(validation, "_float_fields", lambda g: g)
+        per_call = rk_trajectory(problem, NONZERO_GRID)
+        assert list(map(repr, once)) == list(map(repr, per_call))
+
+    def test_constant_past_the_float_range_fails_as_an_overflow(self):
+        # the constant stays exact and overflows per call, as before
+        problem = EmdenProblem(
+            p=2, a=1, f_poly=Series([1], Mode.RATIONAL),
+            g=Sum((Var(), Scale(F(10**400), Power(2)))), y0=0, dy0=0, order=6, mode=Mode.RATIONAL,
+        )
+        with pytest.raises(KernelDomainError, match="overflows"):
+            rk_trajectory(problem, [0.5])
 
     def test_numeric_compare_solves_twice(self, monkeypatch, capsys):
         calls = []
