@@ -29,7 +29,7 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from . import kernels
-from .series import Mode, Number, coerce, guarded_sum, zero
+from .series import Mode, Number, coerce, dot, guarded_sum, zero
 
 
 class GExpr:
@@ -278,7 +278,7 @@ def validate_expr(e: GExpr, y0, mode: Mode) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-_KERNEL, _VAR, _CONST, _SCALE, _SUM, _PRODUCT = range(6)
+_KERNEL, _VAR, _CONST, _SCALE, _SUM, _PRODUCT, _EXACT_PRODUCT = range(7)
 
 
 class ExprState:
@@ -328,9 +328,10 @@ class ExprState:
             return getattr(kernels_by_args[key], "fg"[i])
         if isinstance(node, Product):
             left = slots[repr(node.children[0])]
+            op = _EXACT_PRODUCT if self.mode is Mode.RATIONAL else _PRODUCT
             for child in node.children[1:]:
                 out: list = []
-                self._steps.append((_PRODUCT, out, left, slots[repr(child)]))
+                self._steps.append((op, out, left, slots[repr(child)]))
                 left = out
             return left
         out = []
@@ -372,6 +373,8 @@ class ExprState:
                 out.append(a * b[k])
             elif op == _SUM:
                 out.append(guarded_sum((c[k] for c in a), zero(mode), warn, f"sum at index {at}"))
+            elif op == _EXACT_PRODUCT:  # a rational sum never warns
+                out.append(dot(a, reversed(b), zero(mode)))
             else:  # _PRODUCT: the Cauchy product of two slots at index k
                 terms = map(mul, a, reversed(b))
                 out.append(guarded_sum(terms, zero(mode), warn, f"product convolution at index {at}"))

@@ -173,9 +173,11 @@ class PowerKernel(Kernel):
         if mode is Mode.RATIONAL and isinstance(exponent, float):
             raise ModeMismatchError("float exponent in rational mode")
         if mode is Mode.RATIONAL:
-            self.exponent = Fraction(exponent)
+            self.exponent = m = Fraction(exponent)
+            self._weight = (m.numerator + m.denominator, m.denominator)
         else:
             self.exponent = float(exponent)
+            self._weight = (self.exponent + 1, 1)
         self._powers = None  # repeated-product fallback state
 
     def _step(self, k, y):
@@ -203,9 +205,10 @@ class PowerKernel(Kernel):
             return y0**m
         if self._powers is not None:
             return self._fallback_step(k, y)
-        # weights (m+1) r - k for r = 1..k
-        weights = map(sub, map(mul, repeat(m + 1), range(1, k + 1)), repeat(k))
-        return dot(y[1 : k + 1], reversed(self.f), zero(self.mode), weights) / (k * y[0])
+        # weights (m+1) r - k, r = 1..k; exactly, m = P/Q: integers (P+Q) r - Q k over Q
+        top, q = self._weight
+        weights = map(sub, map(mul, repeat(top), range(1, k + 1)), repeat(q * k))
+        return dot(y[1 : k + 1], reversed(self.f), zero(self.mode), weights) / (q * k * y[0])
 
     def _fallback_step(self, k, y):
         mi = self._int_exponent

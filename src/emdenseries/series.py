@@ -11,7 +11,10 @@ series are order-N series and terms above x^N are dropped.  Callers that
 need more headroom pad first (see :func:`pad`).  Cauchy products and
 the kernel recurrences all convolve through :func:`dot`, one
 left-to-right multiply-accumulate; the sums that report float
-cancellation go through :func:`guarded_sum` instead.
+cancellation go through :func:`guarded_sum` instead.  In rational mode
+:func:`dot` and :func:`evaluate` are fraction-free (Knuth, TAOCP vol. 2,
+4.5.1): integer numerators summed over one common denominator, normalised
+once per result; Fractions are canonical, so the values do not change.
 
 Two coefficient modes exist and are never mixed silently:
 
@@ -31,8 +34,11 @@ they can be shared freely across threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv, mul
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 Number = Union[Fraction, float]
@@ -212,8 +218,17 @@ def dot(xs, ys, start: Number, weights=None) -> Number:
 
     Cauchy products and every kernel recurrence call it.  Callers pass
     :func:`zero` as ``start``; starting from the first term instead would
-    turn a sum of -0.0 terms into -0.0 rather than 0.0.
+    turn a sum of -0.0 terms into -0.0 rather than 0.0.  A Fraction
+    ``start`` sums the terms' integer numerators (weights int or Fraction)
+    over the lcm of their denominators and normalises once.
     """
+    if type(start) is Fraction:  # not isinstance: a check against the ABC slows every float dot
+        nums, dens = [start.numerator], [start.denominator]
+        for w, x, y in zip(repeat(1) if weights is None else weights, xs, ys):
+            nums.append(w.numerator * x.numerator * y.numerator)
+            dens.append(w.denominator * x.denominator * y.denominator)
+        common = math.lcm(*dens)
+        return Fraction(sum(map(mul, nums, map(floordiv, repeat(common), dens))), common)
     acc = start
     if weights is None:
         for x, y in zip(xs, ys):
@@ -253,8 +268,18 @@ def monomial(n: int, order: int, mode: Mode = Mode.RATIONAL) -> Series:
 
 
 def evaluate(s: Series, x) -> Number:
-    """Value of the truncated polynomial at ``x`` (Horner scheme)."""
+    """Value of the truncated polynomial at ``x`` (Horner scheme); exactly, for
+    x = p/q, the integer Horner acc = acc*p + L*Y(k)*q^(N-k) over L*q^N, with
+    L the lcm of the coefficient denominators."""
     xv = _check_scalar(x, s.mode)
+    if type(xv) is Fraction:
+        p, q = xv.numerator, xv.denominator
+        common = math.lcm(*(c.denominator for c in s.coeffs))
+        acc, scale = 0, 1
+        for c in reversed(s.coeffs):
+            acc = acc * p + c.numerator * (common // c.denominator) * scale
+            scale *= q
+        return Fraction(acc, common * q**s.order)
     acc = s.coeffs[-1]
     for c in reversed(s.coeffs[:-1]):
         acc = acc * xv + c

@@ -291,19 +291,30 @@ def _integrate(f, x0, y0, x1, tol):
     return y
 
 
+class _Exponent(float):
+    """A float exponent that prints as its exact value: ``y^(3/2)``."""
+
+    def __init__(self, exact):  # float.__new__ has converted ``exact``
+        self.text = str(exact)
+
+    def __str__(self):
+        return self.text
+
+
 def _float_fields(e: GExpr) -> GExpr:
     """``e`` rebuilt with float constants, so that :func:`evaluate_scalar`
-    does not convert a Fraction on every call.  A non-integer exponent
-    stays as written: the domain error of y^m prints it."""
-    if isinstance(e, Power) and not float(e.exponent).is_integer():
-        return e
+    does not convert a Fraction on every call.  KernelDomainError names
+    a constant past the float range."""
 
     def convert(value):
         if isinstance(value, GExpr):
             return _float_fields(value)
         if isinstance(value, tuple):
             return tuple(map(_float_fields, value))
-        return float(value)
+        try:
+            return _Exponent(value) if isinstance(e, Power) else float(value)
+        except OverflowError:
+            raise KernelDomainError(f"constant {value} in g(y) overflows a float") from None
 
     return type(e)(*(convert(getattr(e, f.name)) for f in fields(e)))
 
@@ -328,16 +339,13 @@ def rk_trajectory(
     lowest = min(targets, default=x_start)
     if lowest < x_start:
         raise ValueError(f"x_target {lowest} must be >= x_start {x_start}")
+    g = _float_fields(problem.g)
     series = solve(problem).series.to_float()
     reached = x_start
     state = (evaluate(series, x_start), evaluate(derivative_transform(series, 1), x_start))
     p = float(problem.p)
     a = float(problem.a)
     f_poly = problem.f_poly.to_float()
-    try:
-        g = _float_fields(problem.g)
-    except OverflowError:  # a rational constant past the float range overflows per call instead
-        g = problem.g
 
     def rhs(x, state):
         yv, dyv = state

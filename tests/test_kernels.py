@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emdenseries import (
     ExpKernel,
@@ -101,6 +103,26 @@ class TestPowerKernel:
     def test_float_exponent_in_rational_mode_rejected(self):
         with pytest.raises(ModeMismatchError):
             PowerKernel(0.5, Mode.RATIONAL)
+
+
+class TestRationalPowerProperty:
+    # negative, fractional and integer exponents: the rational recurrence
+    # runs on integer weights (P+Q) r - Q k, and P+Q <= 0 for m = -1, -3/2, -2
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.sampled_from([F(-2), F(-1), F(-3, 2), F(0), F(1, 3), F(5)]),
+        y0=st.fractions(min_value=F(1, 8), max_value=4, max_denominator=12),
+        negative=st.booleans(),
+        tail=st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=12), max_size=8),
+    )
+    def test_matches_the_binomial_oracle(self, m, y0, negative, tail):
+        if m.denominator != 1:
+            y0 = F(1)  # the oracle tabulates exact non-integer powers around 1
+        elif m >= 0 and negative:
+            y0 = -y0
+        y = [y0] + tail
+        got = run_kernel(PowerKernel(m, Mode.RATIONAL), y)
+        assert got == oracles.compose_fn("power", {"m": m}, y, len(tail))
 
 
 class TestExpKernel:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emdenseries import (
     Mode,
@@ -15,7 +17,7 @@ from emdenseries import (
     monomial,
     multi_product,
 )
-from emdenseries.series import coerce, guarded_sum, mode_of
+from emdenseries.series import coerce, dot, guarded_sum, mode_of
 
 from conftest import rational, floating, relclose
 
@@ -259,6 +261,53 @@ class TestEvaluate:
             evaluate(rational([1, 2]), 0.5)
         with pytest.raises(ModeMismatchError):
             evaluate(floating([1, 2]), F(1, 2))
+
+
+_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+_entries = st.one_of(st.integers(-50, 50), _fractions)  # mixed int and Fraction
+
+
+class TestRationalFractionFree:
+    """The rational paths of dot and evaluate sum integer numerators over a
+    common denominator; their values must be those of plain Fraction
+    arithmetic, which is canonical, so repr is compared."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        xs=st.lists(_entries, max_size=12),
+        ys=st.lists(_entries, max_size=12),
+        weights=st.one_of(
+            st.none(), st.lists(st.integers(-9, 9), max_size=12), st.lists(_entries, max_size=12)
+        ),
+        start=_fractions,
+    )
+    @example(xs=[], ys=[], weights=None, start=F(-3, 7))
+    @example(xs=[F(1, 2), 3], ys=[-4, F(-5, 6)], weights=[-2, F(7, 9)], start=F(0))
+    def test_dot_is_the_left_fold(self, xs, ys, weights, start):
+        expected = start
+        if weights is None:
+            for x, y in zip(xs, ys):
+                expected = expected + x * y
+        else:
+            for w, x, y in zip(weights, xs, ys):
+                expected = expected + w * x * y
+        got = dot(xs, ys, start, None if weights is None else iter(weights))
+        assert type(got) is F and repr(got) == repr(F(expected))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        coeffs=st.lists(_entries, min_size=1, max_size=10),
+        x=st.one_of(st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=9)),
+    )
+    @example(coeffs=[F(7, 3)], x=5)  # order 0
+    @example(coeffs=[0, 0, 0, 0], x=-3)  # all zero
+    @example(coeffs=[1, F(-1, 2), F(1, 3)], x=-2)  # negative int x
+    def test_evaluate_is_fraction_horner(self, coeffs, x):
+        expected = F(coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            expected = expected * x + c
+        got = evaluate(rational(coeffs), x)
+        assert type(got) is F and repr(got) == repr(expected)
 
 
 class TestGuardedSum:

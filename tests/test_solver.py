@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction as F
@@ -351,3 +352,29 @@ class TestEvenProfileInT:
         if mode is Mode.FLOAT and not all(map(math.isfinite, slow.series.coeffs)):
             return  # 0 * inf at an odd index turns into nan in x only
         _same_solve(problem)
+
+
+class TestExactnessAtHighOrder:
+    """sha256 of repr(coeffs) of each rational-capable preset at order 250,
+    recorded before the rational sums went fraction-free: exact results
+    must not move by a single bit."""
+
+    HASHES = {
+        PresetId("lane_emden", m=0): "a6fcf52f92fa545940971b3d8f50d774988645908979c845dde523e600179d37",
+        PresetId("lane_emden", m=1): "e94f3b8d2b906f8b162b9a6072aec6ce97aa24d2fcb82d747c0a9af7dbf95a9a",
+        PresetId("lane_emden", m=2): "31cf1fcce66e62d3ac0a1bc575806f414e6a9ea2880e3958ed127e19e974cf13",
+        PresetId("lane_emden", m=3): "7e49d22f644fc6aa67da141d6479f6b64d2b0ccac4d56ef7622388398409cae4",
+        PresetId("lane_emden", m=4): "a7a5fd85cafdc30f846f015e7426452a6bf868f2e649fa4fd3f93cd19970a730",
+        PresetId("lane_emden", m=F(3, 2)): "819965cf56a4811c8c4ba355e7fc0f1170029e0b3f7df9cd65802b0be4f13cb9",
+        PresetId("lane_emden", m=5): "ee8a8868ca0b23c28536397a6f404eb4637dfa9a6f1443651af0ad793a6e3bf5",
+        PresetId("isothermal"): "d83ca1930609eac28be8092fef797b9b5f7434e1743bbffe2872efc485f55460",
+        PresetId("example5", a=F(2, 3)): "1ed3f7c0adeeaae5bd04ad74e28dd0b9e01a9e3f7c882a64f141935adbd53d93",
+        PresetId("example5", a=F(5, 2)): "866d12cf4bdbb4da5cf386b57dd2f5b56a5ee803714341dcd0eb39fb7c31ca0b",
+        PresetId("example6", a=F(3, 4)): "0c2ad8a0956b88b64656f6f683af840b0067aa87cd14ebd773f0f6c43e2dce0f",
+        PresetId("example6", a=F(3, 2)): "da45ac3638828b221eb46fcd4aca4626f7720365de3b68d7628d1eb8d78240f4",
+    }
+
+    @pytest.mark.parametrize("pid", list(HASHES), ids=repr)
+    def test_order_250_series_unchanged(self, pid):
+        series = solve(build_preset(pid, 250, Mode.RATIONAL)).series
+        assert hashlib.sha256(repr(series.coeffs).encode()).hexdigest() == self.HASHES[pid]

@@ -223,13 +223,20 @@ class TestRkTrajectory:
         per_call = rk_trajectory(problem, NONZERO_GRID)
         assert list(map(repr, once)) == list(map(repr, per_call))
 
+    def test_fractional_exponent_is_a_float_that_prints_exactly(self):
+        # converted once, yet the domain error of y^m still prints y^(3/2)
+        g = validation._float_fields(Scale(F(2), Power(F(3, 2))))
+        exponent = g.child.exponent
+        assert isinstance(exponent, float) and float(exponent) == 1.5
+        assert str(exponent) == "3/2" and str(g.factor) == "2.0"
+
     def test_constant_past_the_float_range_fails_as_an_overflow(self):
-        # the constant stays exact and overflows per call, as before
+        # the error names the constant, not y = 0
         problem = EmdenProblem(
             p=2, a=1, f_poly=Series([1], Mode.RATIONAL),
             g=Sum((Var(), Scale(F(10**400), Power(2)))), y0=0, dy0=0, order=6, mode=Mode.RATIONAL,
         )
-        with pytest.raises(KernelDomainError, match="overflows"):
+        with pytest.raises(KernelDomainError, match=rf"^constant {10**400} in g\(y\) overflows a float$"):
             rk_trajectory(problem, [0.5])
 
     def test_numeric_compare_solves_twice(self, monkeypatch, capsys):
