@@ -23,6 +23,7 @@ Quick start::
 """
 
 from .series import (
+    FloatRangeError,
     Mode,
     ModeMismatchError,
     OrderMismatchError,
@@ -91,7 +92,7 @@ from .validation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mode", "ModeMismatchError", "OrderMismatchError", "Series",
+    "FloatRangeError", "Mode", "ModeMismatchError", "OrderMismatchError", "Series",
     "add_scaled", "cauchy_product", "derivative_transform", "evaluate",
     "monomial", "multi_product",
     "ExpKernel", "KernelDomainError", "LogKernel", "PowerKernel",

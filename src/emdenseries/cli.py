@@ -9,19 +9,20 @@ Four subcommands::
                          [--range LO:HI:STEP] [--tol T]
     emdenseries presets
 
-Exit codes: 0 success; 1 usage, parse, or validation failure; 2 an
-oracle failed: the integrator left g's domain or its step underflowed,
-or a closed form was outside its domain; 3 a comparison exceeded
---tol.  Tables go to stdout (CSV: comma-separated, LF line endings,
-header row first); messages go to stderr.  Identical invocations
-produce byte-identical output: rationals as p/q, floats with 17 digits.
+Exit codes: 0 success; 1 usage, parse, or validation failure, a NaN or
+negative --tol included, or a rational value that compare cannot convert
+to a float; 2 an oracle failed: the integrator left g's domain or its
+step underflowed, or a closed form was outside its domain; 3 a
+comparison exceeded --tol.  Tables go to stdout (CSV: comma-separated,
+LF line endings, header row first); messages go to stderr.  Identical
+invocations produce byte-identical output: rationals as p/q, floats
+with 17 digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -30,12 +31,12 @@ from .problem import (
     PRESET_CATALOG,
     ParseError,
     PresetId,
-    _parse_problem_file,
     _preset_info,
     build_preset,
     parse_number,
+    parse_problem_file,
 )
-from .series import Mode, evaluate
+from .series import FloatRangeError, Mode, evaluate
 from .solver import solve
 from .validation import (
     DEFAULT_SAMPLE_GRID,
@@ -63,26 +64,6 @@ class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits on its own; route everything through our exit codes
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class OutputTable:
-    """Rows of already-formatted cells plus a header."""
-
-    headers: tuple
-    rows: tuple
-
-    def render(self, fmt: str) -> str:
-        if fmt == "csv":
-            fit = ",".join
-        else:
-            widths = [len(h) for h in self.headers]
-            for row in self.rows:
-                for i, cell in enumerate(row):
-                    widths[i] = max(widths[i], len(cell))
-            def fit(cells):
-                return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-        return "".join(fit(row) + "\n" for row in (self.headers, *self.rows))
 
 
 def format_value(v) -> str:
@@ -137,7 +118,7 @@ def _load_problem(args):
         except OSError as exc:
             raise _UsageError(f"cannot read problem file {args.file!r}: {exc.strerror}") from None
         mode = Mode(args.mode) if args.mode else None
-        return _parse_problem_file(data, args.order, mode), None
+        return parse_problem_file(data, args.order, mode), None
     if args.preset:
         mode = Mode(args.mode) if args.mode else Mode.FLOAT
         try:
@@ -151,8 +132,15 @@ def _load_problem(args):
     raise _UsageError("a problem is required: --file PATH or --preset NAME")
 
 
-def _emit(args, table: OutputTable):
-    sys.stdout.write(table.render(args.format))
+def _emit(args, headers: tuple, rows):
+    """Write rows of formatted cells to stdout: CSV, or aligned text columns."""
+    if args.format == "csv":
+        fit = ",".join
+    else:
+        widths = [max(map(len, column)) for column in zip(headers, *rows)]
+        def fit(cells):
+            return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+    sys.stdout.write("".join(fit(row) + "\n" for row in (headers, *rows)))
 
 
 def cmd_solve(args) -> int:
@@ -161,7 +149,7 @@ def cmd_solve(args) -> int:
     rows = tuple(
         (str(k), format_value(c)) for k, c in enumerate(report.series.coeffs)
     )
-    _emit(args, OutputTable(("k", "coefficient"), rows))
+    _emit(args, ("k", "coefficient"), rows)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return EXIT_OK
@@ -183,7 +171,7 @@ def cmd_eval(args) -> int:
     for x in points:
         xv = x if problem.mode is Mode.RATIONAL else float(x)
         rows.append((format_value(xv), format_value(evaluate(series, xv))))
-    _emit(args, OutputTable(("x", "y"), tuple(rows)))
+    _emit(args, ("x", "y"), rows)
     return EXIT_OK
 
 
@@ -200,6 +188,8 @@ def cmd_compare(args) -> int:
         _closed_form(pid)  # OracleUnavailableError without one
     elif min(xs, default=0.0) < 0:
         raise _UsageError("--against numeric needs grid points >= 0")
+    if args.tol is not None and not args.tol >= 0:  # NaN fails every comparison
+        raise _UsageError(f"--tol must be a number >= 0, got {args.tol:g}")
     series = solve(problem).series
     if args.against == "reference":
         top = max(series.order, ref.order)
@@ -217,7 +207,7 @@ def cmd_compare(args) -> int:
         (format_value(r.x), format_value(r.a), format_value(r.b), format_value(r.abs_delta))
         for r in report.point_deltas
     )
-    _emit(args, OutputTable(("x", "dtm", args.against, "abs_delta"), rows))
+    _emit(args, ("x", "dtm", args.against, "abs_delta"), rows)
     flagged = report.mismatched_indices(1e-9)
     if flagged:
         detail = "; ".join(
@@ -248,7 +238,7 @@ def cmd_presets(args) -> int:
         for info in PRESET_CATALOG
     )
     headers = ("preset", "p", "equation", "y(0)", "parameters", "modes", "exact solution")
-    _emit(args, OutputTable(headers, rows))
+    _emit(args, headers, rows)
     return EXIT_OK
 
 
@@ -309,7 +299,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (_UsageError, ParseError, OracleUnavailableError) as exc:
+    except (_UsageError, ParseError, OracleUnavailableError, FloatRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (KernelDomainError, StepSizeUnderflowError) as exc:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Callable, Optional, Sequence
 
@@ -37,6 +38,22 @@ class GExpr:
 
     __slots__ = ()
     kernel = None  # (kernel class, 0 for its F list or 1 for its G list)
+
+    @cached_property
+    def _floats(self) -> tuple:
+        """The numeric fields as floats, converted once for :func:`evaluate_scalar`;
+        KernelDomainError names a constant past the float range."""
+        out = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, (GExpr, tuple)):
+                try:
+                    out.append(float(value))
+                except OverflowError:
+                    raise kernels.KernelDomainError(
+                        f"constant {value} in g(y) overflows a float"
+                    ) from None
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -201,9 +218,9 @@ def evaluate_scalar(e: GExpr, y: float) -> float:
     # the integrator runs this once per node per stage: the common kinds
     # are tested first, Const last (the parser folds it into Scale)
     if isinstance(e, _Function):
-        s = float(e.alpha) * y
+        s = e._floats[0] * y
         if isinstance(e, Log):
-            s += float(e.beta)
+            s += e._floats[1]
             if s <= 0:
                 raise kernels.KernelDomainError(f"ln argument {s} is not positive")
         cls, i = e.kernel
@@ -211,12 +228,12 @@ def evaluate_scalar(e: GExpr, y: float) -> float:
     if isinstance(e, Var):
         return float(y)
     if isinstance(e, Power):
-        m = float(e.exponent)
+        (m,) = e._floats
         if y < 0 and not m.is_integer():
             raise kernels.KernelDomainError(f"y^({e.exponent}) at negative y = {y}")
         return float(y) ** m
     if isinstance(e, Scale):
-        return float(e.factor) * evaluate_scalar(e.child, y)
+        return e._floats[0] * evaluate_scalar(e.child, y)
     if isinstance(e, Sum):
         out = 0.0  # left to right, as ExprState adds (sum() compensates from 3.12 on)
         for c in e.children:
@@ -228,7 +245,7 @@ def evaluate_scalar(e: GExpr, y: float) -> float:
             out *= evaluate_scalar(c, y)
         return out
     if isinstance(e, Const):
-        return float(e.value)
+        return e._floats[0]
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -62,19 +62,6 @@ def check_prefix(y_prefix, k: int):
         raise PrefixLengthError(f"expected Y(0..{k}) ({k + 1} values), got {len(y_prefix)}")
 
 
-def _as_integer(value):
-    """Return ``value`` as a plain int when it is integral, else None."""
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return None
-
-
 def _int_root(n: int, q: int):
     """Exact q-th root of a nonnegative int of any size, or None: integer
     Newton steps from 2**ceil(bits/q), above the root, down to its floor."""
@@ -169,15 +156,17 @@ class PowerKernel(Kernel):
 
     def __init__(self, exponent, mode: Mode):
         super().__init__(mode)
-        self._int_exponent = _as_integer(exponent)
         if mode is Mode.RATIONAL and isinstance(exponent, float):
             raise ModeMismatchError("float exponent in rational mode")
         if mode is Mode.RATIONAL:
             self.exponent = m = Fraction(exponent)
             self._weight = (m.numerator + m.denominator, m.denominator)
+            integral = m.denominator == 1
         else:
-            self.exponent = float(exponent)
-            self._weight = (self.exponent + 1, 1)
+            self.exponent = m = float(exponent)
+            self._weight = (m + 1, 1)
+            integral = m.is_integer()
+        self._int_exponent = int(m) if integral else None
         self._powers = None  # repeated-product fallback state
 
     def _step(self, k, y):

@@ -48,7 +48,7 @@ from .expr import (
     validate_expr,
 )
 from .kernels import KernelDomainError
-from .series import Mode, Number, Series, coerce
+from .series import Mode, Number, Series, as_float, coerce
 
 
 class ParseError(ValueError):
@@ -412,20 +412,18 @@ _DEFAULTS = {("equation", "a"): "1", ("equation", "f"): "1", ("initial", "dy0"):
 _REQUIRED = [(s, k) for s, keys in _SECTIONS.items() for k in keys if (s, k) not in _DEFAULTS]
 
 
-def parse_problem_file(data) -> EmdenProblem:
+def parse_problem_file(
+    data, order: Optional[int] = None, mode: Optional[Mode] = None
+) -> EmdenProblem:
     """Parse the flat INI-style problem format.
 
     Sections ``[equation]`` (keys p, a, f, g), ``[initial]`` (y0, dy0)
     and ``[solve]`` (order, mode); ``#`` starts a comment; a, f and dy0
     may be omitted (defaults 1, 1, 0).  Accepts bytes (UTF-8) or str.
+    ``order`` and ``mode``, when given, replace the file's own; the
+    values are still exact here, so a float file can be solved in
+    rational mode.
     """
-    return _parse_problem_file(data)
-
-
-def _parse_problem_file(data, order: Optional[int] = None, mode: Optional[Mode] = None):
-    """:func:`parse_problem_file`, with ``order`` and ``mode`` (when
-    given) replacing the file's own; the values are still exact here,
-    so a float file can be solved in rational mode."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -540,7 +538,7 @@ _PARAMETERS = {"m": _index_m, "a": _scale_a}
 
 
 def _example5_exact(pid, x: float) -> float:
-    d = 1.0 + float(pid.a) * x * x
+    d = 1.0 + as_float(pid.a, "parameter a") * x * x
     if d <= 0:
         raise KernelDomainError(f"1 + a*x^2 = {d} is outside the solution's domain")
     return -2.0 * math.log(d)
@@ -609,7 +607,7 @@ PRESET_CATALOG = (
             Scale(Fraction(18), Var()),
             Scale(Fraction(4), Product((Var(), Log(Fraction(1), Fraction(0))))),
         ))),
-        param="a", closed_form=lambda pid, x: math.exp(-float(pid.a) * x * x),
+        param="a", closed_form=lambda pid, x: math.exp(-as_float(pid.a, "parameter a") * x * x),
     ),
 )
 

@@ -52,6 +52,18 @@ class OrderMismatchError(ValueError):
     """Series of different truncation orders were combined."""
 
 
+class FloatRangeError(OverflowError):
+    """An exact value is too large to convert to a float."""
+
+
+def as_float(value, what: str) -> float:
+    """``float(value)``, or FloatRangeError naming ``what`` if it overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise FloatRangeError(f"{what} overflows a float") from None
+
+
 class Mode(enum.Enum):
     """Arithmetic mode of a series: exact rational or double precision."""
 
@@ -162,7 +174,8 @@ class Series:
         """Explicit conversion to float mode (exact values may round)."""
         if self.mode is Mode.FLOAT:
             return self
-        return Series([float(c) for c in self.coeffs], Mode.FLOAT)
+        coeffs = [as_float(c, f"coefficient of x^{k}") for k, c in enumerate(self.coeffs)]
+        return Series(coeffs, Mode.FLOAT)
 
 
 def _check_pair(g: Series, h: Series):

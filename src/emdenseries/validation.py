@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
-from .expr import GExpr, Power, evaluate_scalar
+from .expr import evaluate_scalar
 from .kernels import KernelDomainError
 from .problem import (
     PRESET_CATALOG,
@@ -38,7 +38,7 @@ from .problem import (
     _Cursor,
     _preset_info,
 )
-from .series import Mode, Series, derivative_transform, evaluate
+from .series import Mode, Series, as_float, derivative_transform, evaluate
 from .solver import solve
 
 
@@ -291,34 +291,6 @@ def _integrate(f, x0, y0, x1, tol):
     return y
 
 
-class _Exponent(float):
-    """A float exponent that prints as its exact value: ``y^(3/2)``."""
-
-    def __init__(self, exact):  # float.__new__ has converted ``exact``
-        self.text = str(exact)
-
-    def __str__(self):
-        return self.text
-
-
-def _float_fields(e: GExpr) -> GExpr:
-    """``e`` rebuilt with float constants, so that :func:`evaluate_scalar`
-    does not convert a Fraction on every call.  KernelDomainError names
-    a constant past the float range."""
-
-    def convert(value):
-        if isinstance(value, GExpr):
-            return _float_fields(value)
-        if isinstance(value, tuple):
-            return tuple(map(_float_fields, value))
-        try:
-            return _Exponent(value) if isinstance(e, Power) else float(value)
-        except OverflowError:
-            raise KernelDomainError(f"constant {value} in g(y) overflows a float") from None
-
-    return type(e)(*(convert(getattr(e, f.name)) for f in fields(e)))
-
-
 def rk_trajectory(
     problem: EmdenProblem, xs: Sequence, x_start: float = 1e-3, tol: float = 1e-10
 ) -> list:
@@ -339,12 +311,11 @@ def rk_trajectory(
     lowest = min(targets, default=x_start)
     if lowest < x_start:
         raise ValueError(f"x_target {lowest} must be >= x_start {x_start}")
-    g = _float_fields(problem.g)
+    g = problem.g
     series = solve(problem).series.to_float()
     reached = x_start
     state = (evaluate(series, x_start), evaluate(derivative_transform(series, 1), x_start))
-    p = float(problem.p)
-    a = float(problem.a)
+    p, a = (as_float(getattr(problem, name), f"equation constant {name}") for name in "pa")
     f_poly = problem.f_poly.to_float()
 
     def rhs(x, state):

@@ -25,6 +25,7 @@ JOBS = [
     ["solve", "--preset", "sinh_case", "--order", "12"],
     ["compare", "--preset", "example6", "--order", "10", "--against", "numeric",
      "--range", "0:1:1/4"],
+    ["solve", "--file", str(REPO_ROOT / "problems" / "isothermal.efp"), "--order", "12"],
 ]
 
 
@@ -54,6 +55,7 @@ def test_tracer_installs_and_its_checks_pass(capsys):
     for kind in spans.KERNEL_KINDS.values():
         assert metrics[f"kernels.{kind}_calls"] > 0, kind
     assert metrics["solver.solve_calls"] == len(JOBS) + 1  # compare solves twice
+    assert metrics["problem.load_calls"] == len(JOBS)  # presets and --file alike
     assert metrics["expr.kernel_calls"] > 0
     assert metrics["series.guarded_sum_calls"] > 0
     assert metrics["validation.rhs_evals"] > 0

@@ -394,6 +394,49 @@ class TestChecksBeforeSolve:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+BIG_A = {"1e300": "1" + "0" * 300, "1e400": "1" + "0" * 400}
+
+
+class TestFloatRange:
+    """A rational comparison whose values leave the float range is a
+    one-line usage error, not a traceback."""
+
+    @pytest.mark.parametrize("against", ["exact", "numeric"])
+    @pytest.mark.parametrize("size", BIG_A)
+    @pytest.mark.parametrize("preset", ["example5", "example6"])
+    def test_series_past_the_float_range_exits_1(self, capsys, preset, size, against):
+        code, out, err = run_cli(
+            capsys, "compare", "--preset", preset, "--param", f"a={BIG_A[size]}",
+            "--order", "6", "--mode", "rational", "--against", against,
+            "--range", "0.5:0.5:1",
+        )
+        # the x^2 coefficient is about -a, the x^4 one about a^2
+        power = 2 if size == "1e400" else 4
+        assert (code, out) == (1, "")
+        assert err == f"error: coefficient of x^{power} overflows a float\n"
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-inf", "-1e-300"])
+    def test_nan_or_negative_tol_is_a_usage_error(self, capsys, monkeypatch, tol):
+        def no_solve(problem):
+            raise AssertionError("solve called before --tol was checked")
+
+        monkeypatch.setattr("emdenseries.cli.solve", no_solve)
+        code, out, err = run_cli(
+            capsys, "compare", "--preset", "example6", "--order", "6",
+            "--against", "exact", "--range", "0:1:1", f"--tol={tol}",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: --tol must be a number >= 0, got {float(tol):g}\n"
+
+    def test_zero_and_infinite_tol_are_accepted(self, capsys):
+        base = ("compare", "--preset", "example6", "--order", "6", "--against", "exact")
+        # the series and the closed form agree exactly at x = 0
+        assert run_cli(capsys, *base, "--range", "0:0:1", "--tol", "0")[0] == 0
+        assert run_cli(capsys, *base, "--range", "0:1:1", "--tol", "inf")[0] == 0
+
+
 class TestPresets:
     def test_listing_contents(self, capsys):
         code, out, _ = run_cli(capsys, "presets")

@@ -24,8 +24,10 @@ from emdenseries import (
     parse_number,
     parse_polynomial,
     parse_problem_file,
+    solve,
     validate_expr,
 )
+from emdenseries.cli import main
 from emdenseries.problem import PRESET_CATALOG
 from emdenseries.validation import evaluate_constant, has_exact_solution, reference_series
 
@@ -293,6 +295,32 @@ class TestParseProblemFile:
         assert problem.mode is Mode.FLOAT
         assert isinstance(problem.y0, float)
         assert problem.f_poly.mode is Mode.FLOAT
+
+
+class TestParseProblemFileOverrides:
+    """``order`` and ``mode`` replace the file's own, as --order and
+    --mode do on the command line."""
+
+    @staticmethod
+    def cli_coefficients(capsys, *argv):
+        assert main(["solve", *argv, "--format", "csv"]) == 0
+        return [row.split(",")[1] for row in capsys.readouterr().out.splitlines()[1:]]
+
+    def test_float_file_solved_in_rational_mode(self, capsys, tmp_path):
+        path = tmp_path / "m5_float.efp"
+        path.write_text(FILE_TEXT.replace("mode = rational", "mode = float"))
+        problem = parse_problem_file(path.read_bytes(), mode=Mode.RATIONAL)
+        assert problem == parse_problem_file(FILE_TEXT)
+        got = [str(c) for c in solve(problem).series.coeffs]
+        assert got == self.cli_coefficients(capsys, "--file", str(path), "--mode", "rational")
+
+    def test_order_override(self, capsys, problems_dir):
+        path = problems_dir / "isothermal.efp"
+        problem = parse_problem_file(path.read_bytes(), order=14)
+        assert problem == build_preset(PresetId("isothermal"), 14, Mode.RATIONAL)
+        got = [str(c) for c in solve(problem).series.coeffs]
+        assert len(got) == 15
+        assert got == self.cli_coefficients(capsys, "--file", str(path), "--order", "14")
 
 
 class TestEmdenProblem:

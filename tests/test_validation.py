@@ -5,12 +5,15 @@ import pytest
 
 from emdenseries import (
     EmdenProblem,
+    FloatRangeError,
     KernelDomainError,
+    Log,
     Mode,
     OracleUnavailableError,
     ParseError,
     Power,
     PresetId,
+    Product,
     Scale,
     Series,
     Sum,
@@ -63,6 +66,11 @@ class TestExactSolutions:
     def test_availability_helper(self):
         assert has_exact_solution(PresetId("lane_emden", m=5))
         assert not has_exact_solution(PresetId("sin_case"))
+
+    @pytest.mark.parametrize("name", ["example5", "example6"])
+    def test_parameter_past_the_float_range_is_named(self, name):
+        with pytest.raises(FloatRangeError, match=r"^parameter a overflows a float$"):
+            exact_solution(PresetId(name, a=10**400), 0.5)
 
 
 class TestConstantEvaluator:
@@ -181,6 +189,28 @@ def _count_rhs(monkeypatch):
     return calls
 
 
+def _float_per_call(e, y):
+    """g(y) with every constant of the tree passed through float() at each
+    call: the reference that constants converted once must match bit for bit."""
+    if isinstance(e, Var):
+        return float(y)
+    if isinstance(e, Power):
+        return float(y) ** float(e.exponent)
+    if isinstance(e, Scale):
+        return float(e.factor) * _float_per_call(e.child, y)
+    if isinstance(e, Sum):
+        out = 0.0
+        for c in e.children:
+            out += _float_per_call(c, y)
+        return out
+    if isinstance(e, Product):
+        return math.prod(_float_per_call(c, y) for c in e.children)
+    if isinstance(e, Log):
+        return math.log(float(e.alpha) * y + float(e.beta))
+    cls, i = e.kernel
+    return cls.functions[i](float(e.alpha) * y)
+
+
 class TestRkTrajectory:
     @pytest.mark.parametrize("pid", EVERY_PRESET, ids=_preset_label)
     def test_matches_the_per_point_oracle(self, pid):
@@ -216,19 +246,18 @@ class TestRkTrajectory:
 
     @pytest.mark.parametrize("pid", EVERY_PRESET, ids=_preset_label)
     def test_float_constants_change_no_bit(self, pid, monkeypatch):
-        # g's constants are converted to float once, before the integration
+        # each node converts its constants to float once
         problem = build_preset(pid, 20, Mode.FLOAT)
         once = rk_trajectory(problem, NONZERO_GRID)
-        monkeypatch.setattr(validation, "_float_fields", lambda g: g)
+        monkeypatch.setattr(validation, "evaluate_scalar", _float_per_call)
         per_call = rk_trajectory(problem, NONZERO_GRID)
         assert list(map(repr, once)) == list(map(repr, per_call))
 
-    def test_fractional_exponent_is_a_float_that_prints_exactly(self):
+    def test_fractional_exponent_error_prints_exactly(self):
         # converted once, yet the domain error of y^m still prints y^(3/2)
-        g = validation._float_fields(Scale(F(2), Power(F(3, 2))))
-        exponent = g.child.exponent
-        assert isinstance(exponent, float) and float(exponent) == 1.5
-        assert str(exponent) == "3/2" and str(g.factor) == "2.0"
+        problem = build_preset(PresetId("lane_emden", m=F(3, 2)), 20, Mode.FLOAT)
+        with pytest.raises(KernelDomainError, match=r"^y\^\(3/2\) at negative y = -"):
+            rk_trajectory(problem, [3.5, 3.75, 4.0])
 
     def test_constant_past_the_float_range_fails_as_an_overflow(self):
         # the error names the constant, not y = 0
@@ -237,6 +266,15 @@ class TestRkTrajectory:
             g=Sum((Var(), Scale(F(10**400), Power(2)))), y0=0, dy0=0, order=6, mode=Mode.RATIONAL,
         )
         with pytest.raises(KernelDomainError, match=rf"^constant {10**400} in g\(y\) overflows a float$"):
+            rk_trajectory(problem, [0.5])
+
+    def test_equation_constant_past_the_float_range_is_named(self):
+        # g(0) = 0 keeps every coefficient zero, so only a overflows
+        problem = EmdenProblem(
+            p=2, a=10**400, f_poly=Series([1], Mode.RATIONAL), g=Var(), y0=0, dy0=0,
+            order=6, mode=Mode.RATIONAL,
+        )
+        with pytest.raises(FloatRangeError, match=r"^equation constant a overflows a float$"):
             rk_trajectory(problem, [0.5])
 
     def test_numeric_compare_solves_twice(self, monkeypatch, capsys):
