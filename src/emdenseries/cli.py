@@ -10,13 +10,13 @@ Four subcommands::
     emdenseries presets
 
 Exit codes: 0 success; 1 usage, parse, or validation failure, a NaN or
-negative --tol included, or a rational value that compare cannot convert
-to a float; 2 an oracle failed: the integrator left g's domain or its
-step underflowed, or a closed form was outside its domain; 3 a
-comparison exceeded --tol.  Tables go to stdout (CSV: comma-separated,
-LF line endings, header row first); messages go to stderr.  Identical
-invocations produce byte-identical output: rationals as p/q, floats
-with 17 digits.
+negative --tol included, or a rational value (a grid point too) that eval
+or compare cannot convert to a float; 2 an oracle failed: the integrator
+left g's domain or its step underflowed, or a closed form was outside its
+domain; 3 a comparison exceeded --tol.  Tables go to stdout (CSV:
+comma-separated, LF line endings, header row first); messages go to
+stderr.  Identical invocations produce byte-identical output: rationals
+as p/q, floats with 17 digits.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .problem import (
     parse_number,
     parse_problem_file,
 )
-from .series import FloatRangeError, Mode, evaluate
+from .series import FloatRangeError, Mode, as_float, evaluate
 from .solver import solve
 from .validation import (
     DEFAULT_SAMPLE_GRID,
@@ -166,11 +166,10 @@ def cmd_eval(args) -> int:
             raise _UsageError(f"bad --at value {args.at!r}: {exc}") from None
     else:
         points = _parse_range(args.range)
+    if problem.mode is Mode.FLOAT:
+        points = [as_float(x, f"point {x}") for x in points]
     series = solve(problem).series
-    rows = []
-    for x in points:
-        xv = x if problem.mode is Mode.RATIONAL else float(x)
-        rows.append((format_value(xv), format_value(evaluate(series, xv))))
+    rows = [(format_value(x), format_value(evaluate(series, x))) for x in points]
     _emit(args, ("x", "y"), rows)
     return EXIT_OK
 
@@ -180,7 +179,7 @@ def cmd_compare(args) -> int:
         raise _UsageError("compare works on --preset problems (oracles are preset-keyed)")
     problem, pid = _load_problem(args)
     points = _parse_range(args.range) if args.range else DEFAULT_SAMPLE_GRID
-    xs = [float(x) for x in points]
+    xs = [as_float(x, f"point {x}") for x in points]
     # every argument and oracle check comes before the solve
     if args.against == "reference":
         ref = reference_series(pid)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 from . import kernels
@@ -40,20 +40,23 @@ class GExpr:
     kernel = None  # (kernel class, 0 for its F list or 1 for its G list)
 
     @cached_property
-    def _floats(self) -> tuple:
-        """The numeric fields as floats, converted once for :func:`evaluate_scalar`;
+    def _scalar(self) -> Callable[[float], float]:
+        """g at a float y, compiled once for :func:`evaluate_scalar`;
         KernelDomainError names a constant past the float range."""
-        out = []
+        values = []
         for f in fields(self):
             value = getattr(self, f.name)
             if not isinstance(value, (GExpr, tuple)):
                 try:
-                    out.append(float(value))
+                    values.append(float(value))
                 except OverflowError:
                     raise kernels.KernelDomainError(
                         f"constant {value} in g(y) overflows a float"
                     ) from None
-        return tuple(out)
+        return _compile_scalar(self, values)
+
+    def __getstate__(self):  # pickles without the compiled closure, which does not pickle
+        return {k: v for k, v in vars(self).items() if k != "_scalar"}
 
 
 @dataclass(frozen=True)
@@ -215,38 +218,47 @@ def evaluate_scalar(e: GExpr, y: float) -> float:
     Used by the off-origin integrator, which works on numbers rather
     than coefficient streams.
     """
-    # the integrator runs this once per node per stage: the common kinds
-    # are tested first, Const last (the parser folds it into Scale)
-    if isinstance(e, _Function):
-        s = e._floats[0] * y
-        if isinstance(e, Log):
-            s += e._floats[1]
+    return e._scalar(y)
+
+
+def _compile_scalar(e: GExpr, values: list) -> Callable[[float], float]:
+    """g at a float y as one closure per node, given the node's numeric fields
+    as floats: a tree walk's operations in its order, minus its type tests."""
+    if isinstance(e, Var):
+        return float
+    if isinstance(e, Const):
+        return lambda y: values[0]
+    if isinstance(e, Scale):
+        factor, child = values[0], e.child._scalar
+        return lambda y: factor * child(y)
+    if isinstance(e, _Nary):
+        # left to right from 0.0 or 1.0, as ExprState adds (sum() compensates from 3.12 on)
+        op, start = (add, 0.0) if isinstance(e, Sum) else (mul, 1.0)
+        children = [c._scalar for c in e.children]
+        def fold(y):
+            out = start
+            for c in children:
+                out = op(out, c(y))
+            return out
+        return fold
+    if isinstance(e, Power):
+        (m,) = values
+        def power(y):
+            if y < 0 and not m.is_integer():
+                raise kernels.KernelDomainError(f"y^({e.exponent}) at negative y = {y}")
+            return float(y) ** m
+        return power
+    cls, i = e.kernel
+    fn, alpha = cls.functions[i], values[0]
+    if isinstance(e, Log):
+        beta = values[1]
+        def log(y):
+            s = alpha * y + beta
             if s <= 0:
                 raise kernels.KernelDomainError(f"ln argument {s} is not positive")
-        cls, i = e.kernel
-        return cls.functions[i](s)
-    if isinstance(e, Var):
-        return float(y)
-    if isinstance(e, Power):
-        (m,) = e._floats
-        if y < 0 and not m.is_integer():
-            raise kernels.KernelDomainError(f"y^({e.exponent}) at negative y = {y}")
-        return float(y) ** m
-    if isinstance(e, Scale):
-        return e._floats[0] * evaluate_scalar(e.child, y)
-    if isinstance(e, Sum):
-        out = 0.0  # left to right, as ExprState adds (sum() compensates from 3.12 on)
-        for c in e.children:
-            out += evaluate_scalar(c, y)
-        return out
-    if isinstance(e, Product):
-        out = 1.0
-        for c in e.children:
-            out *= evaluate_scalar(c, y)
-        return out
-    if isinstance(e, Const):
-        return e._floats[0]
-    raise TypeError(f"not an expression node: {e!r}")
+            return fn(s)
+        return log
+    return lambda y: fn(alpha * y)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from .series import (
     Series,
     coerce,
     dot,
-    one,
     zero,
 )
 
@@ -148,10 +147,10 @@ class PowerKernel(Kernel):
 
         F(k) = (1/Y(0)) * sum_{r=1..k} ((m+1) r - k)/k * Y(r) F(k-r)
 
-    holds for arbitrary real m.  It divides by Y(0), so when m is a
-    nonnegative integer and Y(0) == 0 the kernel silently switches to
-    plain repeated products of Y (y^m is a perfectly regular polynomial
-    there); any other exponent requires Y(0) > 0.
+    holds for arbitrary real m.  It divides by Y(0), so for m = 0 and 1,
+    and for any nonnegative integer m at Y(0) == 0 (a regular polynomial
+    there), the kernel uses plain repeated products of Y instead; any other
+    exponent requires Y(0) > 0.
     """
 
     def __init__(self, exponent, mode: Mode):
@@ -175,20 +174,13 @@ class PowerKernel(Kernel):
             y0 = coerce(y[0], self.mode)
             mi = self._int_exponent
             if mi is not None and mi >= 0:
-                if y0 == 0:
-                    # y^m stays regular at a zero seed; convolve m copies
-                    # of Y instead of running the singular recurrence.
-                    self._powers = [[one(self.mode)]] + [
-                        [zero(self.mode)] for _ in range(mi)
-                    ]
-                    return one(self.mode) if mi == 0 else zero(self.mode)
-                return (
-                    y0**mi if self.mode is Mode.RATIONAL else float(y0) ** mi
-                )
+                if y0 == 0 or mi <= 1:
+                    # y^m stays regular at a zero seed, and y^0, y^1 need no recurrence
+                    # (for m = 1 its terms cancel in pairs): convolve m copies of Y.
+                    self._powers = [[y0**j] for j in range(mi + 1)]
+                return y0**mi
             if y0 <= 0:
-                raise KernelDomainError(
-                    f"y^({m}) needs Y(0) > 0, got Y(0) = {y0}"
-                )
+                raise KernelDomainError(f"y^({m}) needs Y(0) > 0, got Y(0) = {y0}")
             if self.mode is Mode.RATIONAL:
                 return _exact_rational_power(y0, self.exponent)
             return y0**m

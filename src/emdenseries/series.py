@@ -186,6 +186,8 @@ def _check_pair(g: Series, h: Series):
 
 
 def _check_scalar(value, mode: Mode) -> Number:
+    if type(value) is float and mode is Mode.FLOAT:  # the integrator's f(x), at every stage
+        return value
     got = mode_of(value)
     if isinstance(value, int) or got is mode:
         return coerce(value, mode)

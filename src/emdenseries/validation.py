@@ -242,43 +242,39 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _dopri_step(f, x, y, h):
+def _dopri_step(f, x, y, dy, h):
+    """One step of (y, y'): fifth-order values and error estimates.  Sums run left
+    to right; a stage skips its zero weights, the final sums add all seven."""
     ks = []
-    for i in range(7):
-        yi = list(y)
-        for j, aij in enumerate(_DP_A[i]):
+    for c, row in zip(_DP_C, _DP_A):
+        yi, di = y, dy
+        for aij, (kyj, kdj) in zip(row, ks):
             if aij != 0.0:
-                for c in range(len(y)):
-                    yi[c] += h * aij * ks[j][c]
-        ks.append(f(x + _DP_C[i] * h, yi))
-    y5 = list(y)
-    err = [0.0] * len(y)
-    for i in range(7):
-        for c in range(len(y)):
-            y5[c] += h * _DP_B5[i] * ks[i][c]
-            err[c] += h * (_DP_B5[i] - _DP_B4[i]) * ks[i][c]
-    return y5, err
+                yi, di = yi + h * aij * kyj, di + h * aij * kdj
+        ks.append(f(x + c * h, yi, di))
+    y5, d5, ey, ed = y, dy, 0.0, 0.0
+    for b5, b4, (kyi, kdi) in zip(_DP_B5, _DP_B4, ks):
+        y5, d5 = y5 + h * b5 * kyi, d5 + h * b5 * kdi
+        ey, ed = ey + h * (b5 - b4) * kyi, ed + h * (b5 - b4) * kdi
+    return y5, d5, ey, ed
 
 
-def _integrate(f, x0, y0, x1, tol):
-    """Adaptive integration of y' = f(x, y) from x0 to x1, local error <= tol."""
-    x, y = x0, list(y0)
-    span = x1 - x0
+def _integrate(f, x0, y, dy, x1, tol):
+    """(y, y') at x1 from (y, y')' = f(x, y, y'), adaptive from x0, local error <= tol."""
+    x, span = x0, x1 - x0
     h = min(1e-2, span / 10) if span > 0 else span
     steps = 0
     while x < x1:
         last = x + h > x1
         if last:
             h = x1 - x
-        ynew, err = _dopri_step(f, x, y, h)
-        norm = 0.0
-        for c in range(len(y)):
-            scale = tol + tol * max(abs(y[c]), abs(ynew[c]))
-            norm = max(norm, abs(err[c]) / scale)
+        y5, d5, ey, ed = _dopri_step(f, x, y, dy, h)
+        norm = max(0.0, abs(ey) / (tol + tol * max(abs(y), abs(y5))),
+                   abs(ed) / (tol + tol * max(abs(dy), abs(d5))))
         if norm <= 1.0:
             # x + (x1 - x) can round short of x1
             x = x1 if last else x + h
-            y = ynew
+            y, dy = y5, d5
             factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm**-0.2))
         else:
             factor = max(0.2, 0.9 * norm**-0.2)
@@ -288,7 +284,7 @@ def _integrate(f, x0, y0, x1, tol):
         steps += 1
         if steps > 1_000_000:
             raise StepSizeUnderflowError("step budget exhausted")
-    return y
+    return y, dy
 
 
 def rk_trajectory(
@@ -318,8 +314,7 @@ def rk_trajectory(
     p, a = (as_float(getattr(problem, name), f"equation constant {name}") for name in "pa")
     f_poly = problem.f_poly.to_float()
 
-    def rhs(x, state):
-        yv, dyv = state
+    def rhs(x, yv, dyv):
         try:
             gv = evaluate_scalar(g, yv)
         except OverflowError:  # the trajectory blows up: exp(y) or y^m past the float range
@@ -329,7 +324,7 @@ def rk_trajectory(
     values = {}
     for xt in sorted(set(targets)):
         if xt > reached:
-            state = _integrate(rhs, reached, state, xt, tol)
+            state = _integrate(rhs, reached, *state, xt, tol)
             reached = xt
         values[xt] = state[0]
     return [values[xt] for xt in targets]

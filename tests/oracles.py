@@ -2,13 +2,31 @@
 
 Everything here recomputes expected values by a route different from the
 code under test: scalar Taylor coefficients of an outer function
-combined with explicit polynomial powers, plain binomial series, and a
-direct second-order coefficient recurrence.  Convolutions are written
-out locally so these helpers share no code path with the series module.
+combined with explicit polynomial powers, plain binomial series, a
+direct second-order coefficient recurrence, g(y) by a walk of the tree,
+and the generic n-component Dormand-Prince integrator.  Convolutions are
+written out locally so these helpers share no code path with the series
+module; only the integrator's driver solves and evaluates f and the seed
+through the library, as the code under test does.
 """
 
 from fractions import Fraction
 import math
+
+from emdenseries import (
+    Const,
+    KernelDomainError,
+    Log,
+    Power,
+    Product,
+    Scale,
+    Sum,
+    Var,
+    derivative_transform,
+    evaluate,
+    solve,
+)
+from emdenseries.validation import StepSizeUnderflowError
 
 
 def conv(a, b, order):
@@ -182,3 +200,130 @@ def isothermal_by_direct_recurrence(order):
         e_coeffs = compose(exp_outer(Fraction(1), Fraction(0), m), a, m)
         a.append(Fraction(-1, (m + 2) * (m + 3)) * e_coeffs[m])
     return a[: order + 1]
+
+
+# --- g(y) and the integrator, by the generic route --------------------------
+
+def float_per_call(e, y):
+    """g(y) by a walk of the tree, with every constant passed through float()
+    at each call, raising what the library raises outside g's domain."""
+    if isinstance(e, Var):
+        return float(y)
+    if isinstance(e, Power):
+        if y < 0 and not float(e.exponent).is_integer():
+            raise KernelDomainError(f"y^({e.exponent}) at negative y = {y}")
+        return float(y) ** float(e.exponent)
+    if isinstance(e, Scale):
+        return float(e.factor) * float_per_call(e.child, y)
+    if isinstance(e, Sum):
+        out = 0.0
+        for c in e.children:
+            out += float_per_call(c, y)
+        return out
+    if isinstance(e, Product):
+        return math.prod(float_per_call(c, y) for c in e.children)
+    if isinstance(e, Log):
+        s = float(e.alpha) * y + float(e.beta)
+        if s <= 0:
+            raise KernelDomainError(f"ln argument {s} is not positive")
+        return math.log(s)
+    if isinstance(e, Const):
+        return float(e.value)
+    cls, i = e.kernel
+    return cls.functions[i](float(e.alpha) * y)
+
+
+# The generic n-component integrator, kept verbatim as the reference that
+# rk_trajectory's two-float step must match bit for bit.
+
+# Dormand-Prince 5(4) tableau: fifth-order propagation, fourth-order
+# error estimate from the difference of the two weight rows.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _dopri_step(f, x, y, h):
+    ks = []
+    for i in range(7):
+        yi = list(y)
+        for j, aij in enumerate(_DP_A[i]):
+            if aij != 0.0:
+                for c in range(len(y)):
+                    yi[c] += h * aij * ks[j][c]
+        ks.append(f(x + _DP_C[i] * h, yi))
+    y5 = list(y)
+    err = [0.0] * len(y)
+    for i in range(7):
+        for c in range(len(y)):
+            y5[c] += h * _DP_B5[i] * ks[i][c]
+            err[c] += h * (_DP_B5[i] - _DP_B4[i]) * ks[i][c]
+    return y5, err
+
+
+def _integrate(f, x0, y0, x1, tol):
+    """Adaptive integration of y' = f(x, y) from x0 to x1, local error <= tol."""
+    x, y = x0, list(y0)
+    span = x1 - x0
+    h = min(1e-2, span / 10) if span > 0 else span
+    steps = 0
+    while x < x1:
+        last = x + h > x1
+        if last:
+            h = x1 - x
+        ynew, err = _dopri_step(f, x, y, h)
+        norm = 0.0
+        for c in range(len(y)):
+            scale = tol + tol * max(abs(y[c]), abs(ynew[c]))
+            norm = max(norm, abs(err[c]) / scale)
+        if norm <= 1.0:
+            # x + (x1 - x) can round short of x1
+            x = x1 if last else x + h
+            y = ynew
+            factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm**-0.2))
+        else:
+            factor = max(0.2, 0.9 * norm**-0.2)
+        h *= factor
+        if x < x1 and h < 1e-14 * max(abs(x), span):
+            raise StepSizeUnderflowError(f"step size underflow at x = {x}")
+        steps += 1
+        if steps > 1_000_000:
+            raise StepSizeUnderflowError("step budget exhausted")
+    return y
+
+
+def generic_trajectory(problem, xs, x_start=1e-3, tol=1e-10):
+    """rk_trajectory through the integrator above: y at each of ``xs``,
+    with f(x) from series.evaluate and g(y) from :func:`float_per_call`."""
+    targets = [float(x) for x in xs]
+    g = problem.g
+    series = solve(problem).series.to_float()
+    reached = x_start
+    state = (evaluate(series, x_start), evaluate(derivative_transform(series, 1), x_start))
+    p, a = float(problem.p), float(problem.a)
+    f_poly = problem.f_poly.to_float()
+
+    def rhs(x, state):
+        yv, dyv = state
+        try:
+            gv = float_per_call(g, yv)
+        except OverflowError:
+            raise KernelDomainError(f"g(y) overflows at y = {yv} (x = {x})") from None
+        return (dyv, -(p / x) * dyv - a * evaluate(f_poly, x) * gv)
+
+    values = {}
+    for xt in sorted(set(targets)):
+        if xt > reached:
+            state = _integrate(rhs, reached, state, xt, tol)
+            reached = xt
+        values[xt] = state[0]
+    return [values[xt] for xt in targets]

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -212,6 +213,16 @@ class TestEval:
         )
         assert got == (1, "", "error: problem cannot be transformed: sin(y): sin(1), cos(1) "
                               "are irrational; rational mode needs alpha*Y(0) == 0\n")
+
+    @pytest.mark.parametrize("x", [5, 10])
+    def test_float_lane_emden_m1_past_its_first_zeros(self, capsys, x):
+        # the float solve printed 546.03 at x = 5, and was 4.7e38 off at x = 10
+        code, out, err = run_cli(
+            capsys, "eval", "--preset", "lane_emden", "--param", "m=1",
+            "--order", "120", "--at", str(x),
+        )
+        assert (code, err) == (0, "")
+        assert float(out.split()[-1]) == pytest.approx(math.sin(x) / x, rel=0, abs=1e-12)
 
     def test_needs_exactly_one_target(self, capsys):
         base = ["eval", "--preset", "isothermal", "--order", "8"]

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -203,6 +204,12 @@ class TestScalarEvaluation:
         with pytest.raises(KernelDomainError):
             evaluate_scalar(Log(F(1), F(0)), -1.0)
 
+    def test_a_node_pickles_after_compiling(self):
+        e = Sum((Scale(F(18), Var()), Product((Var(), Log(F(1), F(0))))))
+        value = evaluate_scalar(e, 0.7)
+        again = pickle.loads(pickle.dumps(e))
+        assert again == e and evaluate_scalar(again, 0.7) == value
+
     def test_sum_adds_left_to_right(self):
         # as ExprState does; a compensated sum would give 1.0
         assert evaluate_scalar(Sum((Const(1e16), Const(1.0), Const(-1e16))), 1.0) == 0.0
@@ -246,6 +253,8 @@ _trees = st.recursive(
     max_leaves=8,
 )
 _ys = st.floats(min_value=0.25, max_value=2.0)
+# for the scalar value alone: zeros, subnormals and negative y as well
+_any_ys = st.floats(min_value=-2.0, max_value=2.0)
 
 
 def _value(e, y):
@@ -277,3 +286,16 @@ class TestTreeProperties:
         except KernelDomainError as exc:
             got = type(exc)
         assert got == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_trees, _any_ys)
+    def test_compiled_value_equals_the_tree_walk(self, tree, y):
+        # each node compiles its function of y once; the per-call walk of
+        # tests/oracles.py gives the same float or raises the same error
+        def outcome(fn):
+            try:
+                return repr(fn(tree, y))
+            except (ArithmeticError, ValueError) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(evaluate_scalar) == outcome(oracles.float_per_call)

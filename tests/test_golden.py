@@ -14,6 +14,7 @@ import pytest
 from emdenseries import cli
 
 EMPTY = hashlib.sha256(b"").hexdigest()
+HUGE = "1" + "0" * 400  # a grid point past the float range
 
 # (case id, argv, exit code, sha256(stdout), sha256(stderr))
 CASES = [
@@ -147,11 +148,58 @@ CASES = [
      1, EMPTY, '5ff083f73119613bb7d44674617b9c977f47df77ae4a2a026c9121d733d56065'),
     ('error_sinh_case_rational_numeric', 'compare --preset sinh_case --order 6 --mode rational --against numeric',
      1, EMPTY, '572a68d817b8fd6bce3e1736e03b530b38aebb13b6e133b41718daec64c5b5c6'),
+    ('error_eval_huge_point', f'eval --preset example6 --order 6 --at {HUGE}',
+     1, EMPTY, 'c539ddd53939188fd476d558b6904a59e2566c9d60c647ed93d310f7bcb59edb'),
+    ('error_compare_huge_point', f'compare --preset example6 --order 6 --against exact --range {HUGE}:{HUGE}:1',
+     1, EMPTY, 'c539ddd53939188fd476d558b6904a59e2566c9d60c647ed93d310f7bcb59edb'),
     # an odd order ends on an odd zero; a negative a prints that zero as 0, not -0
     ('solve_float_lane_emden_41', 'solve --preset lane_emden --param m=3/2 --order 41 --mode float',
      0, '1bc79157ccb81e064fdbf8e85b642c957da417b43c80552307f9eb37f0e76e6e', EMPTY),
     ('solve_float_example6_negative_a_40', 'solve --preset example6 --param a=-1/2 --order 40 --mode float',
      0, 'a98a34f2487873f292e64eb1ed224a16d5e5dd377b52434c3949435c1297378a', EMPTY),
+    # the Dormand-Prince oracle on every preset, on the default grid and on one
+    # past x = 2; float lane_emden m=1 is left out (its float coefficients are
+    # checked against the rational ones in tests/test_solver.py)
+    ('numeric_lane_emden_m0', 'compare --preset lane_emden --param m=0 --order 20 --against numeric',
+     0, '9a3b953adb5703d51c4214d41b0800c24eed9d2d7a966f89eaf65ae77e94389d', EMPTY),
+    ('numeric_lane_emden_m0_range', 'compare --preset lane_emden --param m=0 --order 20 --against numeric --range 0:3:1/4 --format csv',
+     0, 'ef4b84c8e2acd447155a647066f39bf684bbd3c09352a6e3eb645eeb033e2136', EMPTY),
+    ('numeric_lane_emden_m1_rational', 'compare --preset lane_emden --param m=1 --order 20 --against numeric --mode rational',
+     0, 'a50d9840327b869862820806eb56a706e07d9496fd997196e909261de2cb3e03', EMPTY),
+    ('numeric_lane_emden_m1_rational_range', 'compare --preset lane_emden --param m=1 --order 20 --against numeric --mode rational --range 0:3:1/4 --format csv',
+     0, 'a7c2cfe00950a3b3d1d3b7b244a4e6c59125bc5482b67368ecb6db13894c9aea', EMPTY),
+    ('numeric_lane_emden_m3_2', 'compare --preset lane_emden --param m=3/2 --order 20 --against numeric',
+     0, 'd2804271f067331119a7768e266f858c3b3f96468be066b3cc00e4e6858cba04', EMPTY),
+    ('numeric_lane_emden_m3_2_range', 'compare --preset lane_emden --param m=3/2 --order 20 --against numeric --range 0:3:1/4 --format csv',
+     0, 'b55eb7918d2c7e7ac1dedd991d94e7a6ebdde7a1807f691148ab83b209d818ae', EMPTY),
+    ('numeric_lane_emden_m5', 'compare --preset lane_emden --param m=5 --order 20 --against numeric',
+     0, '8b40803bdb8d31dca80d032b9744b8ae9f2fecd5a6bee21ace15d87a242a11b2', EMPTY),
+    ('numeric_lane_emden_m5_range', 'compare --preset lane_emden --param m=5 --order 20 --against numeric --range 0:3:1/4 --format csv',
+     0, 'd9fa47c0b27fd34db34d57c9b966c2128f601c7e2ae0ef675183d487e1a835dc', EMPTY),
+    ('numeric_isothermal', 'compare --preset isothermal --order 20 --against numeric',
+     0, '7be53b38a8f7de8127a7aca7f18e0b8fe8c912cedc2dce205b2c4a33634cc5f0', EMPTY),
+    ('numeric_isothermal_range', 'compare --preset isothermal --order 20 --against numeric --range 0:3:1/4 --format csv',
+     0, 'fd578c8a98892323f19e6d6d92eb8def9a34edc305b86197bf48de7d0dfc264c', EMPTY),
+    ('numeric_isothermal_rational', 'compare --preset isothermal --order 20 --against numeric --mode rational',
+     0, '838ec130a3613be594aa9bc33793ce9918c18cb132bb49678945530a3c5ef859', EMPTY),
+    ('numeric_isothermal_rational_range', 'compare --preset isothermal --order 20 --against numeric --mode rational --range 0:3:1/4 --format csv',
+     0, '15d3471157acbfda1104116e9bd8328abd69be5ef575c56b49083faf9cffc5f4', EMPTY),
+    ('numeric_sinh_case', 'compare --preset sinh_case --order 20 --against numeric',
+     0, '340596b74b7b99031dce52dc10543ad2fd15fc7e3053ca0b8a0ff68bab024bf4', EMPTY),
+    ('numeric_sinh_case_range', 'compare --preset sinh_case --order 20 --against numeric --range 0:3:1/4 --format csv',
+     0, '3a047ed4e6cd699e8b289ac2b5edf0194ad151403a8d63016d9bb6e243e1f138', EMPTY),
+    ('numeric_sin_case', 'compare --preset sin_case --order 20 --against numeric',
+     0, 'c8edef2ba9e4e0d62c9894d07323ae52a56fe6143303ae0b72df3ee2cb021604', EMPTY),
+    ('numeric_sin_case_range', 'compare --preset sin_case --order 20 --against numeric --range 0:3:1/4 --format csv',
+     0, 'f2effca847c2a48043b664e0b96bdd63f0818950ecb3a9f2449ddc4857d01ff0', EMPTY),
+    ('numeric_example5', 'compare --preset example5 --param a=1 --order 20 --against numeric',
+     0, 'd67bead9bf07e3c5dc5beb44a34368fc993500be57ae3c6d97c320a622643876', EMPTY),
+    ('numeric_example5_range', 'compare --preset example5 --param a=1 --order 20 --against numeric --range 0:3:1/4 --format csv',
+     0, 'c6002ec1cb978833f185f1399124ed124bed23f14092406f71fb2f02dffbe92f', EMPTY),
+    ('numeric_example6', 'compare --preset example6 --param a=1 --order 20 --against numeric',
+     0, '690334f3e3d38588bd44b5f47724b2e16480044a4c3e60f6184522b455fab52e', EMPTY),
+    ('numeric_example6_range', 'compare --preset example6 --param a=1 --order 20 --against numeric --range 0:3:1/4 --format csv',
+     0, 'ed7b8f9ecfe81a143c2048eef96a151c2648e2352cdff7539097084b7a1fe46e', EMPTY),
 ]
 
 

@@ -97,6 +97,14 @@ class TestPaperSeries:
             for a, b in zip(exact.to_float().coeffs, approx.coeffs):
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
+    def test_float_lane_emden_m1_tracks_rational_at_high_order(self):
+        # y^1 takes no recurrence: its weights 2r - k cancel in pairs, and
+        # float error used to grow from k = 22 on (50% off at k = 30)
+        exact = lane(1, order=120).to_float()
+        approx = lane(1, order=120, mode=Mode.FLOAT)
+        for k, (a, b) in enumerate(zip(exact.coeffs, approx.coeffs)):
+            assert b == pytest.approx(a, rel=1e-13, abs=0), k
+
     def test_sin_case_float(self):
         s = solve(build_preset(PresetId("sin_case"), 10, Mode.FLOAT)).series
         assert s[2] == pytest.approx(-math.sin(1) / 6, rel=1e-14)

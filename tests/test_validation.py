@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from emdenseries import (
+    Const,
     EmdenProblem,
     FloatRangeError,
     KernelDomainError,
@@ -13,7 +14,6 @@ from emdenseries import (
     ParseError,
     Power,
     PresetId,
-    Product,
     Scale,
     Series,
     Sum,
@@ -31,6 +31,7 @@ from emdenseries import (
 from emdenseries import cli, solver, validation
 from emdenseries.validation import (
     DEFAULT_SAMPLE_GRID,
+    StepSizeUnderflowError,
     evaluate_constant,
     has_exact_solution,
 )
@@ -189,28 +190,6 @@ def _count_rhs(monkeypatch):
     return calls
 
 
-def _float_per_call(e, y):
-    """g(y) with every constant of the tree passed through float() at each
-    call: the reference that constants converted once must match bit for bit."""
-    if isinstance(e, Var):
-        return float(y)
-    if isinstance(e, Power):
-        return float(y) ** float(e.exponent)
-    if isinstance(e, Scale):
-        return float(e.factor) * _float_per_call(e.child, y)
-    if isinstance(e, Sum):
-        out = 0.0
-        for c in e.children:
-            out += _float_per_call(c, y)
-        return out
-    if isinstance(e, Product):
-        return math.prod(_float_per_call(c, y) for c in e.children)
-    if isinstance(e, Log):
-        return math.log(float(e.alpha) * y + float(e.beta))
-    cls, i = e.kernel
-    return cls.functions[i](float(e.alpha) * y)
-
-
 class TestRkTrajectory:
     @pytest.mark.parametrize("pid", EVERY_PRESET, ids=_preset_label)
     def test_matches_the_per_point_oracle(self, pid):
@@ -249,7 +228,7 @@ class TestRkTrajectory:
         # each node converts its constants to float once
         problem = build_preset(pid, 20, Mode.FLOAT)
         once = rk_trajectory(problem, NONZERO_GRID)
-        monkeypatch.setattr(validation, "evaluate_scalar", _float_per_call)
+        monkeypatch.setattr(validation, "evaluate_scalar", oracles.float_per_call)
         per_call = rk_trajectory(problem, NONZERO_GRID)
         assert list(map(repr, once)) == list(map(repr, per_call))
 
@@ -290,6 +269,51 @@ class TestRkTrajectory:
         assert cli.main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 22
         assert len(calls) == 2  # the CLI's series and the integrator's seed
+
+
+DENSE_GRID = [1e-3] + [k / 100 for k in range(1, 301)]
+
+
+def _outcome(trajectory, problem, xs):
+    """The values' reprs, or the type and message of the error raised."""
+    try:
+        return list(map(repr, trajectory(problem, xs)))
+    except (KernelDomainError, StepSizeUnderflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _ln_reaches_zero():
+    # y'' + (2/x) y' + ln(y) + 5 = 0 from y(0) = 1: y falls through 0
+    g = Sum((Log(F(1), F(0)), Const(F(5))))
+    return EmdenProblem(p=2, a=1, f_poly=Series([1], Mode.FLOAT), g=g, y0=1, dy0=0,
+                        order=10, mode=Mode.FLOAT)
+
+
+class TestTwoFloatStep:
+    """rk_trajectory against the generic n-component integrator it replaced,
+    kept in tests/oracles.py: the same floats, or the same error."""
+
+    @pytest.mark.parametrize("grid", [NONZERO_GRID, DENSE_GRID], ids=["default", "dense"])
+    @pytest.mark.parametrize("pid", EVERY_PRESET, ids=_preset_label)
+    def test_bit_identical_on_every_preset(self, pid, grid):
+        problem = build_preset(pid, 20, Mode.FLOAT)
+        want = _outcome(oracles.generic_trajectory, problem, grid)
+        assert _outcome(rk_trajectory, problem, grid) == want
+
+    @pytest.mark.parametrize("problem, xs, error, message", [
+        (build_preset(PresetId("example5", a=-1), 20, Mode.FLOAT), NONZERO_GRID,
+         StepSizeUnderflowError, "step size underflow at x = "),
+        (build_preset(PresetId("example5", a=-1), 2, Mode.FLOAT), NONZERO_GRID,
+         KernelDomainError, "g(y) overflows at y = "),
+        (build_preset(PresetId("lane_emden", m=F(3, 2)), 20, Mode.FLOAT), [3.5, 3.75, 4.0],
+         KernelDomainError, "y^(3/2) at negative y = -"),
+        (_ln_reaches_zero(), [k / 4 for k in range(1, 21)],
+         KernelDomainError, "ln argument -"),
+    ], ids=["step_underflow", "g_overflow", "power_domain", "ln_domain"])
+    def test_bit_identical_errors(self, problem, xs, error, message):
+        want = _outcome(oracles.generic_trajectory, problem, xs)
+        assert want[0] is error and want[1].startswith(message)
+        assert _outcome(rk_trajectory, problem, xs) == want
 
 
 class TestCompare:
