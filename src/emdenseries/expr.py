@@ -23,17 +23,16 @@ restates them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
-from typing import Callable, Optional, Sequence
 
 from . import kernels
-from .series import Mode, Number, coerce, dot, guarded_sum, zero
+from .series import Mode, Number, Record, coerce, dot, guarded_sum, zero
 
 
-class GExpr:
+class GExpr(Record):
     """Base class for expression nodes over the dependent variable y."""
 
     __slots__ = ()
@@ -44,8 +43,7 @@ class GExpr:
         """g at a float y, compiled once for :func:`evaluate_scalar`;
         KernelDomainError names a constant past the float range."""
         values = []
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for value in self._values():
             if not isinstance(value, (GExpr, tuple)):
                 try:
                     values.append(float(value))
@@ -59,12 +57,10 @@ class GExpr:
         return {k: v for k, v in vars(self).items() if k != "_scalar"}
 
 
-@dataclass(frozen=True)
 class Var(GExpr):
     """The dependent variable y itself."""
 
 
-@dataclass(frozen=True)
 class Const(GExpr):
     value: object
 
@@ -73,7 +69,6 @@ class Const(GExpr):
             object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
 class Scale(GExpr):
     factor: object
     child: GExpr
@@ -83,7 +78,6 @@ class Scale(GExpr):
             object.__setattr__(self, "factor", Fraction(self.factor))
 
 
-@dataclass(frozen=True)
 class _Nary(GExpr):
     """Sum or product of one or more children."""
 
@@ -103,7 +97,6 @@ class Product(_Nary):
     """The product of the children."""
 
 
-@dataclass(frozen=True)
 class Power(GExpr):
     """y**exponent applied to the variable directly."""
 
@@ -111,7 +104,6 @@ class Power(GExpr):
     kernel = (kernels.PowerKernel, 0)
 
 
-@dataclass(frozen=True)
 class _Function(GExpr):
     """A kernel function of alpha*y (of alpha*y + beta for ln)."""
 
@@ -122,7 +114,6 @@ class Exp(_Function):
     kernel = (kernels.ExpKernel, 0)
 
 
-@dataclass(frozen=True)
 class Log(_Function):
     beta: object
     kernel = (kernels.LogKernel, 0)
@@ -156,7 +147,7 @@ def walk(e: GExpr):
 
 def _leaf_args(node: GExpr) -> tuple:
     """Kernel constructor arguments of a nonlinear leaf, mode aside."""
-    return tuple(getattr(node, f.name) for f in fields(node))
+    return node._values()
 
 
 def format_expr(e: GExpr) -> str:
@@ -261,14 +252,12 @@ def _compile_scalar(e: GExpr, values: list) -> Callable[[float], float]:
     return lambda y: fn(alpha * y)
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     where: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     findings: tuple
 
     @property
@@ -326,7 +315,7 @@ class ExprState:
         self,
         expr: GExpr,
         mode: Mode,
-        on_warn: Optional[Callable[[str], None]] = None,
+        on_warn: Callable[[str], None] | None = None,
         _stride: int = 1,
     ):
         self.expr = expr

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .expr import (
     Const,
@@ -48,13 +47,13 @@ from .expr import (
     validate_expr,
 )
 from .kernels import KernelDomainError
-from .series import Mode, Number, Series, as_float, coerce
+from .series import Mode, Number, Record, Series, as_float, coerce
 
 
 class ParseError(ValueError):
     """Syntax or format error, carrying a 1-based position."""
 
-    def __init__(self, message: str, line: Optional[int] = None, column: Optional[int] = None):
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.message = message
         self.line = line
         self.column = column
@@ -72,8 +71,7 @@ class ProblemValidationError(ValueError):
         super().__init__(f"problem cannot be transformed: {report}")
 
 
-@dataclass(frozen=True)
-class EmdenProblem:
+class EmdenProblem(Record):
     """Full statement of one singular initial-value problem.
 
     ``p`` is the coefficient of the singular first-derivative term,
@@ -129,8 +127,7 @@ _TOKEN_RE_PLAIN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str  # 'num' | 'name' | 'op' | 'end'
     text: str
     column: int  # 1-based
@@ -186,7 +183,7 @@ class _Cursor:
         self.pos += 1
         return tok
 
-    def accept(self, ops: str) -> Optional[str]:
+    def accept(self, ops: str) -> str | None:
         """Take the next token if it is one of the operators in ``ops``
         and return its text; otherwise take nothing and return None."""
         tok = self.peek()
@@ -195,7 +192,7 @@ class _Cursor:
             return tok.text
         return None
 
-    def sign(self) -> Optional[Fraction]:
+    def sign(self) -> Fraction | None:
         """Take a leading '+' or '-' and return 1 or -1; None if absent."""
         op = self.accept("+-")
         return None if op is None else Fraction(-1 if op == "-" else 1)
@@ -413,7 +410,7 @@ _REQUIRED = [(s, k) for s, keys in _SECTIONS.items() for k in keys if (s, k) not
 
 
 def parse_problem_file(
-    data, order: Optional[int] = None, mode: Optional[Mode] = None
+    data, order: int | None = None, mode: Mode | None = None
 ) -> EmdenProblem:
     """Parse the flat INI-style problem format.
 
@@ -551,8 +548,7 @@ _LANE_EMDEN_EXACT = {
 }
 
 
-@dataclass(frozen=True)
-class PresetInfo:
+class PresetInfo(Record):
     """One catalog entry: the seven columns ``presets`` lists, then what
     :func:`build_preset` and the oracles in :mod:`emdenseries.validation`
     need."""
@@ -565,10 +561,10 @@ class PresetInfo:
     modes: str
     exact_solution: str
     build: Callable  # PresetId -> (a, g)
-    param: Optional[str] = None  # the PresetId field the preset takes
-    closed_form: Optional[Callable] = None  # (PresetId, x) -> y(x)
-    closed_form_params: Optional[tuple] = None  # values of param it covers; None: all
-    reference: Optional[str] = None  # quoted-series fixture file
+    param: str | None = None  # the PresetId field the preset takes
+    closed_form: Callable | None = None  # (PresetId, x) -> y(x)
+    closed_form_params: tuple | None = None  # values of param it covers; None: all
+    reference: str | None = None  # quoted-series fixture file
 
 
 PRESET_CATALOG = (
@@ -622,8 +618,7 @@ def _preset_info(name: str) -> PresetInfo:
     return _PRESETS[name]
 
 
-@dataclass(frozen=True)
-class PresetId:
+class PresetId(Record):
     """Identifier of a catalog problem plus its free parameters.
 
     ``m`` is the polytropic index of ``lane_emden``; ``a`` scales

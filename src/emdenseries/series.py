@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import repeat
 from operator import floordiv, mul
-from typing import Callable, Iterator, Optional, Sequence, Union
 
-Number = Union[Fraction, float]
+Number = Fraction | float
 
 
 class ModeMismatchError(ValueError):
@@ -117,8 +116,57 @@ def one(mode: Mode) -> Number:
     return Fraction(1) if mode is Mode.RATIONAL else 1.0
 
 
-@dataclass(frozen=True)
-class Series:
+class Record:
+    """Frozen value: its fields are the class annotations, base classes
+    first, with class attributes as defaults.  Each subclass gets an
+    ``__init__`` (unless it has one) ending in ``__post_init__``, ``==``
+    and ``hash`` on the field tuple within one class, and the repr
+    ``Cls(field=value, ...)``; setting an attribute raises AttributeError.
+    This replaces the standard library's record decorator, whose import
+    (``inspect``) slowed every start."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__annotations__" in vars(cls) or "__post_init__" in vars(cls):
+            # compiled once per class, as a loop over the fields would cost every call
+            names = (n for c in reversed(cls.__mro__) for n in vars(c).get("__annotations__", ()))
+            cls._fields = fields = tuple(dict.fromkeys(names))
+            params = "".join(f", {n}=_cls.{n}" if hasattr(cls, n) else f", {n}" for n in fields)
+            body = [f"_set(self, {n!r}, {n})" for n in fields]
+            body += ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+            values = "".join(f"self.{n}, " for n in fields)
+            namespace = {"_set": object.__setattr__, "_cls": cls}
+            exec(f"def __init__(self{params}):\n    " + "\n    ".join(body)
+                 + f"\ndef _values(self):\n    return ({values})", namespace)
+            cls._values = namespace["_values"]
+            if "__init__" not in vars(cls):
+                cls.__init__ = namespace["__init__"]
+        cls._format = f"{cls.__qualname__}({', '.join(f'{n}=%r' for n in cls._fields)})"
+
+    def _values(self) -> tuple:
+        return ()
+
+    def __repr__(self):
+        return self._format % self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is frozen")
+
+    __setattr__ = __delattr__ = _frozen
+
+
+class Series(Record):
     """Transform coefficients Y(0..N) of a truncated power series.
 
     ``coeffs`` always has ``order + 1`` entries and all of them live in
@@ -308,7 +356,7 @@ _CANCELLATION_LIMIT = 1e6
 def guarded_sum(
     terms,
     start: Number,
-    on_warn: Optional[Callable[[str], None]] = None,
+    on_warn: Callable[[str], None] | None = None,
     label: str = "",
 ) -> Number:
     """Sum ``terms`` onto ``start``, flagging heavy float cancellation.

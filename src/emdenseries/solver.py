@@ -36,15 +36,12 @@ step can fail.  Both are checked once, when the problem is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .expr import ExprState
 from .problem import EmdenProblem
-from .series import Series, guarded_sum, zero
+from .series import Record, Series, guarded_sum, zero
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     """Everything one solve produced.
 
     ``warnings`` holds any float-mode cancellation diagnostics and

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+import os
+from collections.abc import Callable, Sequence
 from functools import partial
-from importlib import resources
-from typing import Callable, Optional, Sequence
 
 from .expr import evaluate_scalar
 from .kernels import KernelDomainError
@@ -38,7 +37,7 @@ from .problem import (
     _Cursor,
     _preset_info,
 )
-from .series import Mode, Series, as_float, derivative_transform, evaluate
+from .series import Mode, Record, Series, as_float, derivative_transform, evaluate
 from .solver import solve
 
 
@@ -184,6 +183,9 @@ def evaluate_constant(text: str) -> float:
     return _ConstParser(text).parse()
 
 
+_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
 def reference_series(pid: PresetId) -> Series:
     """The quoted literature series for a preset, as a float-mode Series.
 
@@ -197,7 +199,8 @@ def reference_series(pid: PresetId) -> Series:
             f"no reference series for preset {pid.name!r} "
             f"(available: {', '.join(available)})"
         )
-    text = resources.files("emdenseries").joinpath("fixtures", fname).read_text("utf-8")
+    with open(os.path.join(_FIXTURES, fname), encoding="utf-8") as f:
+        text = f.read()
     order = None
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -341,26 +344,23 @@ def rk_oracle(problem: EmdenProblem, x_target, x_start: float = 1e-3, tol: float
 DEFAULT_SAMPLE_GRID = tuple(i / 10 for i in range(21))  # 0.0 .. 2.0 step 0.1
 
 
-@dataclass(frozen=True)
-class CoeffDelta:
+class CoeffDelta(Record):
     k: int
     a: float
     b: float
     abs_delta: float
     rel_delta: float
-    exact_equal: Optional[bool]
+    exact_equal: bool | None
 
 
-@dataclass(frozen=True)
-class PointDelta:
+class PointDelta(Record):
     x: float
     a: float
     b: float
     abs_delta: float
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     """Coefficient-wise and pointwise deltas between two series.
 
     Deltas are always computed in float arithmetic, even for exact
@@ -372,9 +372,9 @@ class ComparisonReport:
     point_deltas: tuple
     max_coeff_delta: float
     max_point_delta: float
-    tolerance: Optional[float]
-    within_tolerance: Optional[bool]
-    exact_match: Optional[bool]
+    tolerance: float | None
+    within_tolerance: bool | None
+    exact_match: bool | None
 
     def mismatched_indices(self, rel_tol: float = 1e-9) -> tuple:
         """Coefficient indices whose relative delta exceeds ``rel_tol``."""
@@ -419,8 +419,8 @@ def _rel_delta(a: float, b: float) -> float:
 def compare(
     series_a: Series,
     series_b: Series,
-    sample_points: Optional[Sequence[float]] = DEFAULT_SAMPLE_GRID,
-    tolerance: Optional[float] = None,
+    sample_points: Sequence[float] | None = DEFAULT_SAMPLE_GRID,
+    tolerance: float | None = None,
 ) -> ComparisonReport:
     """Full delta report between two same-order series.
 
@@ -448,7 +448,7 @@ def compare_pointwise(
     series: Series,
     oracle: Callable[[float], float],
     sample_points: Sequence[float],
-    tolerance: Optional[float] = None,
+    tolerance: float | None = None,
 ) -> ComparisonReport:
     """Pointwise-only report of a series against a scalar oracle function."""
     return _report((), _point_rows(series.to_float(), oracle, sample_points), tolerance, None)

@@ -1,6 +1,5 @@
 import hashlib
 import math
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -39,6 +38,14 @@ from conftest import rational
 
 def lane(m, order=10, mode=Mode.RATIONAL):
     return solve(build_preset(PresetId("lane_emden", m=m), order, mode)).series
+
+
+def _at_order(problem, order):
+    """The same problem with another truncation order."""
+    return EmdenProblem(
+        p=problem.p, a=problem.a, f_poly=problem.f_poly, g=problem.g, y0=problem.y0,
+        dy0=problem.dy0, order=order, mode=problem.mode,
+    )
 
 
 class TestPaperSeries:
@@ -192,7 +199,7 @@ class TestResiduals:
             n = problem.order
             res = residual_series(problem, solve(problem).series)
             assert res.coeffs[:n] == (F(0),) * n
-            next_term = solve(replace(problem, order=n + 1)).series[n + 1]
+            next_term = solve(_at_order(problem, n + 1)).series[n + 1]
             assert next_term != 0
             assert res[n] == -(n + 1) * (n + problem.p) * next_term
 
@@ -271,7 +278,7 @@ class TestRandomProblems:
         except (ProblemValidationError, OverflowError):  # no seed at y(0), or y(0) > float max
             return
         low = solve(problem).series
-        high = solve(replace(problem, order=order + 1)).series
+        high = solve(_at_order(problem, order + 1)).series
         # bit for bit, so NaN and signed zeros compare too
         assert list(map(repr, high.coeffs[: order + 1])) == list(map(repr, low.coeffs))
         if mode is Mode.RATIONAL:

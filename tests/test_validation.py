@@ -119,7 +119,7 @@ class TestReferenceSeries:
     def test_fixture_fault_names_file_and_line(self, tmp_path, monkeypatch):
         (tmp_path / "fixtures").mkdir()
         (tmp_path / "fixtures" / "isothermal.txt").write_text("order: 4\n2: -1/6\n4:  ln(0)/7\n")
-        monkeypatch.setattr(validation.resources, "files", lambda package: tmp_path)
+        monkeypatch.setattr(validation, "_FIXTURES", str(tmp_path / "fixtures"))
         with pytest.raises(ParseError) as err:
             reference_series(PresetId("isothermal"))
         assert str(err.value) == (
