@@ -29,7 +29,7 @@ from functools import cached_property
 from operator import add, mul
 
 from . import kernels
-from .series import Mode, Number, Record, coerce, dot, guarded_sum, zero
+from .series import Mode, Number, Record, as_list, coerce, dot, guarded_sum, zero
 
 
 class GExpr(Record):
@@ -348,11 +348,11 @@ class ExprState:
             left = slots[repr(node.children[0])]
             op = _EXACT_PRODUCT if self.mode is Mode.RATIONAL else _PRODUCT
             for child in node.children[1:]:
-                out: list = []
+                out = as_list(self.mode)
                 self._steps.append((op, out, left, slots[repr(child)]))
                 left = out
             return left
-        out = []
+        out = as_list(self.mode)
         if isinstance(node, Var):
             step = (_VAR, out, None, None)
         elif isinstance(node, Const):

@@ -33,14 +33,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import mul, sub
 
-from .series import (
-    Mode,
-    ModeMismatchError,
-    Series,
-    coerce,
-    dot,
-    zero,
-)
+from .series import Mode, ModeMismatchError, Series, as_list, coerce, dot, zero
 
 
 class KernelDomainError(ValueError):
@@ -97,7 +90,7 @@ class Kernel:
 
     def __init__(self, mode: Mode):
         self.mode = mode
-        self.f: list = []
+        self.f = as_list(mode)
 
     @property
     def next_index(self) -> int:
@@ -115,7 +108,10 @@ class Kernel:
         """
         k = len(self.f)
         check_prefix(y_prefix, k)
-        coerce(y_prefix[k], self.mode)  # reject cross-mode prefixes early
+        if self.mode is Mode.RATIONAL:
+            y_prefix = as_list(self.mode, y_prefix)  # rejects a float prefix
+        else:
+            coerce(y_prefix[k], self.mode)  # reject non-numbers early
         value = self._step(k, y_prefix)
         self.f.append(value[0] if self.paired else value)
         return value
@@ -171,13 +167,13 @@ class PowerKernel(Kernel):
     def _step(self, k, y):
         m = self.exponent
         if k == 0:
-            y0 = coerce(y[0], self.mode)
+            self._y0 = y0 = coerce(y[0], self.mode)
             mi = self._int_exponent
             if mi is not None and mi >= 0:
                 if y0 == 0 or mi <= 1:
                     # y^m stays regular at a zero seed, and y^0, y^1 need no recurrence
                     # (for m = 1 its terms cancel in pairs): convolve m copies of Y.
-                    self._powers = [[y0**j] for j in range(mi + 1)]
+                    self._powers = [as_list(self.mode, [y0**j]) for j in range(mi + 1)]
                 return y0**mi
             if y0 <= 0:
                 raise KernelDomainError(f"y^({m}) needs Y(0) > 0, got Y(0) = {y0}")
@@ -189,7 +185,7 @@ class PowerKernel(Kernel):
         # weights (m+1) r - k, r = 1..k; exactly, m = P/Q: integers (P+Q) r - Q k over Q
         top, q = self._weight
         weights = map(sub, map(mul, repeat(top), range(1, k + 1)), repeat(q * k))
-        return dot(y[1 : k + 1], reversed(self.f), zero(self.mode), weights) / (q * k * y[0])
+        return dot(y[1 : k + 1], reversed(self.f), zero(self.mode), weights) / (q * k * self._y0)
 
     def _fallback_step(self, k, y):
         mi = self._int_exponent
@@ -273,7 +269,8 @@ class _CircularKernel(Kernel):
     def __init__(self, alpha, mode: Mode):
         super().__init__(mode)
         self.alpha = coerce(alpha, mode)
-        self.g: list = []
+        self.g = as_list(mode)
+        self._dy = as_list(mode)  # r Y(r), r = 1..k
 
     def coefficients(self):
         return tuple(self.f), tuple(self.g)
@@ -283,7 +280,8 @@ class _CircularKernel(Kernel):
             s = self.alpha * coerce(y[0], self.mode)
             fv, gv = self._seed(s, 0, "alpha*Y(0) == 0")
         else:
-            w = list(map(mul, range(k, 0, -1), y[k:0:-1]))  # (k-r) Y(k-r), r = 0..k-1
+            self._dy.append(k * y[k])
+            w = self._dy[::-1]  # (k-r) Y(k-r), r = 0..k-1
             fv = self.alpha * dot(w, self.g, zero(self.mode)) / k
             gv = self._sign * self.alpha * dot(w, self.f, zero(self.mode)) / k
         self.g.append(gv)
@@ -317,8 +315,9 @@ def batch_transform(kernel: Kernel, y: Series):
         raise ValueError("batch_transform needs a fresh kernel")
     if kernel.mode is not y.mode:
         raise ModeMismatchError(f"{kernel.mode} kernel with a {y.mode} series")
+    ys = as_list(y.mode, y.coeffs)
     for k in range(y.order + 1):
-        kernel.advance(y.coeffs[: k + 1])
+        kernel.advance(ys[: k + 1])
     if kernel.paired:
         fs, gs = kernel.coefficients()
         return Series(fs, y.mode), Series(gs, y.mode)

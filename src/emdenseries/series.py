@@ -11,10 +11,10 @@ series are order-N series and terms above x^N are dropped.  Callers that
 need more headroom pad first (see :func:`pad`).  Cauchy products and
 the kernel recurrences all convolve through :func:`dot`, one
 left-to-right multiply-accumulate; the sums that report float
-cancellation go through :func:`guarded_sum` instead.  In rational mode
-:func:`dot` and :func:`evaluate` are fraction-free (Knuth, TAOCP vol. 2,
-4.5.1): integer numerators summed over one common denominator, normalised
-once per result; Fractions are canonical, so the values do not change.
+cancellation go through :func:`guarded_sum` instead.  Rational lists hold
+integer numerators over one running denominator (Knuth, TAOCP vol. 2,
+4.5.1), so :func:`dot` and :func:`evaluate` are each one integer sum,
+normalised once; Fractions are canonical, so the values do not change.
 
 Two coefficient modes exist and are never mixed silently:
 
@@ -38,7 +38,7 @@ import math
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import repeat
-from operator import floordiv, mul
+from operator import mul
 
 Number = Fraction | float
 
@@ -108,12 +108,59 @@ def coerce(value, mode: Mode) -> Number:
     raise TypeError(f"not a numeric coefficient: {value!r}")
 
 
+_ZERO = Fraction(0)
+
+
 def zero(mode: Mode) -> Number:
-    return Fraction(0) if mode is Mode.RATIONAL else 0.0
+    return _ZERO if mode is Mode.RATIONAL else 0.0
 
 
-def one(mode: Mode) -> Number:
-    return Fraction(1) if mode is Mode.RATIONAL else 1.0
+class RationalList:
+    """Rational mode's list format: values ``Fraction(nums[i], den)`` over one
+    running denominator, grown by the least integer that an appended value
+    needs.  Indexing gives canonical Fractions (the last one appended is
+    kept); slices and ``reversed`` share the denominator."""
+
+    __slots__ = ("nums", "den", "_last")
+
+    def __init__(self, values=(), nums=None, den=1):
+        self.nums, self.den, self._last = [] if nums is None else nums, den, None
+        for v in values:
+            self.append(coerce(v, Mode.RATIONAL))
+
+    def append(self, value):
+        num, den = value.numerator, value.denominator
+        scale, rest = divmod(self.den, den)
+        if rest:  # gcd(rest, den) == gcd(self.den, den)
+            grow = den // math.gcd(rest, den)
+            self.nums, self.den = list(map(mul, self.nums, repeat(grow))), self.den * grow
+            scale = self.den // den
+        self.nums.append(num * scale)
+        self._last = value if type(value) is Fraction else None
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __getitem__(self, i):
+        if type(i) is slice:
+            return RationalList((), self.nums[i], self.den)
+        if self._last is not None and (i == -1 or i == len(self.nums) - 1):
+            return self._last
+        return Fraction(self.nums[i], self.den)
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return map(Fraction, self.nums, repeat(self.den))
+
+    def __reversed__(self):
+        return RationalList((), self.nums[::-1], self.den)
+
+
+def as_list(mode: Mode, values=()):
+    """``values`` in the list format of ``mode`` that :func:`dot` takes:
+    floats in a new list, or a RationalList (a RationalList passes as is)."""
+    if mode is Mode.FLOAT:
+        return [coerce(v, mode) for v in values]
+    return values if type(values) is RationalList else RationalList(values)
 
 
 class Record:
@@ -180,11 +227,14 @@ class Series(Record):
     def __init__(self, coeffs: Sequence, mode: Mode):
         if isinstance(mode, str):
             mode = Mode(mode)
-        values = tuple(coerce(c, mode) for c in coeffs)
+        listed = as_list(mode, coeffs)
+        values = tuple(listed)
         if not values:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", values)
         object.__setattr__(self, "mode", mode)
+        # what dot and evaluate take; a caller's RationalList may still grow
+        object.__setattr__(self, "_list", values if mode is Mode.FLOAT else listed[:])
 
     @property
     def order(self) -> int:
@@ -265,13 +315,7 @@ def derivative_transform(g: Series, n: int) -> Series:
         raise OrderMismatchError(
             f"cannot take {n} derivatives of an order-{g.order} series"
         )
-    out = []
-    for k in range(g.order - n + 1):
-        w = 1
-        for i in range(1, n + 1):
-            w *= k + i
-        out.append(w * g.coeffs[k + n])
-    return Series(out, g.mode)
+    return Series([math.perm(k + n, n) * g.coeffs[k + n] for k in range(g.order - n + 1)], g.mode)
 
 
 def dot(xs, ys, start: Number, weights=None) -> Number:
@@ -281,17 +325,13 @@ def dot(xs, ys, start: Number, weights=None) -> Number:
 
     Cauchy products and every kernel recurrence call it.  Callers pass
     :func:`zero` as ``start``; starting from the first term instead would
-    turn a sum of -0.0 terms into -0.0 rather than 0.0.  A Fraction
-    ``start`` sums the terms' integer numerators (weights int or Fraction)
-    over the lcm of their denominators and normalises once.
+    turn a sum of -0.0 terms into -0.0 rather than 0.0.  A Fraction ``start``
+    takes RationalLists (:func:`as_list`) and int or Fraction weights.
     """
     if type(start) is Fraction:  # not isinstance: a check against the ABC slows every float dot
-        nums, dens = [start.numerator], [start.denominator]
-        for w, x, y in zip(repeat(1) if weights is None else weights, xs, ys):
-            nums.append(w.numerator * x.numerator * y.numerator)
-            dens.append(w.denominator * x.denominator * y.denominator)
-        common = math.lcm(*dens)
-        return Fraction(sum(map(mul, nums, map(floordiv, repeat(common), dens))), common)
+        den, start_den = xs.den * ys.den, start.denominator
+        total = sum(map(mul, xs.nums if weights is None else map(mul, weights, xs.nums), ys.nums))
+        return Fraction(total * start_den + start.numerator * den, den * start_den)
     acc = start
     if weights is None:
         for x, y in zip(xs, ys):
@@ -306,7 +346,7 @@ def cauchy_product(g: Series, h: Series) -> Series:
     """Product series: F(k) = sum_{r=0..k} G(r) H(k-r), truncated at the
     common order."""
     _check_pair(g, h)
-    gc, hc, z = g.coeffs, h.coeffs, zero(g.mode)
+    gc, hc, z = g._list, h._list, zero(g.mode)
     return Series([dot(gc[: k + 1], hc[k::-1], z) for k in range(g.order + 1)], g.mode)
 
 
@@ -326,23 +366,23 @@ def monomial(n: int, order: int, mode: Mode = Mode.RATIONAL) -> Series:
         raise ValueError(f"monomial degree must be a nonnegative integer, got {n!r}")
     if n > order:
         raise OrderMismatchError(f"x^{n} does not fit in an order-{order} series")
-    z, o = zero(mode), one(mode)
+    z, o = zero(mode), coerce(1, mode)
     return Series([o if k == n else z for k in range(order + 1)], mode)
 
 
 def evaluate(s: Series, x) -> Number:
     """Value of the truncated polynomial at ``x`` (Horner scheme); exactly, for
     x = p/q, the integer Horner acc = acc*p + L*Y(k)*q^(N-k) over L*q^N, with
-    L the lcm of the coefficient denominators."""
+    L*Y(k) the numerators of the series' RationalList over L."""
     xv = _check_scalar(x, s.mode)
     if type(xv) is Fraction:
         p, q = xv.numerator, xv.denominator
-        common = math.lcm(*(c.denominator for c in s.coeffs))
+        ys = s._list
         acc, scale = 0, 1
-        for c in reversed(s.coeffs):
-            acc = acc * p + c.numerator * (common // c.denominator) * scale
+        for c in reversed(ys.nums):
+            acc = acc * p + c * scale
             scale *= q
-        return Fraction(acc, common * q**s.order)
+        return Fraction(acc, ys.den * q**s.order)
     acc = s.coeffs[-1]
     for c in reversed(s.coeffs[:-1]):
         acc = acc * xv + c

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from .expr import ExprState
 from .problem import EmdenProblem
-from .series import Record, Series, guarded_sum, zero
+from .series import Record, Series, as_list, guarded_sum, zero
 
 
 class SolveReport(Record):
@@ -60,16 +60,16 @@ def _forcing_support(problem: EmdenProblem) -> list:
     return [(r, c) for r, c in enumerate(problem.f_poly.coeffs, start=1) if c != 0]
 
 
-def _step(state: ExprState, g: list, w: list, k: int, support, stride=1, on_warn=None):
-    """One recurrence step at x-space index k over W(j) = Y(stride*j):
-    append G(k-1), which needs only Y(0..k-1), to ``g`` (as its entry
-    (k-1)/stride) and return the forcing sum
+def _step(state: ExprState, g: list, y, k: int, support, stride=1, on_warn=None):
+    """One recurrence step at x-space index k, with the kernels over
+    W(j) = Y(stride*j): append G(k-1), which needs only Y(0..k-1), to ``g``
+    (as its entry (k-1)/stride) and return the forcing sum
 
         sum_{1<=r<=k} XF(r) G(k-r)
 
     over the nonzero XF (the sum is empty at k = 0)."""
     if k > 0:
-        g.append(state.advance(w[: (k - 1) // stride + 1]))
+        g.append(state.advance(y[:k:stride]))
     return guarded_sum(
         (c * g[(k - r) // stride] for r, c in support if r <= k),
         zero(state.mode),
@@ -79,27 +79,25 @@ def _step(state: ExprState, g: list, w: list, k: int, support, stride=1, on_warn
 
 
 def _recurrence(problem: EmdenProblem, stride: int) -> SolveReport:
-    """Run the recurrence over Y(0), Y(stride), Y(2*stride), ...
+    """Run the recurrence with the kernels over Y(0), Y(stride), ...
 
     Stride 1 is every step.  Stride 2 needs an even f: it takes the odd
-    steps k only, and fills each odd Y(k+1) with the value its skipped
-    step k gives."""
+    steps k only, and gives each odd Y(k+1) the value of its skipped
+    step k, whose sum has zeros only."""
     mode, a, p, n = problem.mode, problem.a, problem.p, problem.order
     warnings: list = []
     state = ExprState(problem.g, mode, on_warn=warnings.append, _stride=stride)
     support = _forcing_support(problem)
-    w = [problem.y0] if stride == 2 else [problem.y0, problem.dy0]
+    y = as_list(mode, [problem.y0, problem.dy0])
     g: list = []
-    for k in range(1, n, stride):
-        conv = _step(state, g, w, k, support, stride, warnings.append)
-        w.append(-a * conv / ((k + 1) * (k + p)))
-    y = w
-    if stride == 2:
-        # Y(1) = y'(0); each skipped step k sums zeros only
-        odd = [-a * zero(mode) / ((k + 1) * (k + p)) for k in range(2, n, 2)]
-        y = [zero(mode)] * (n + 1)
-        y[0::2] = w
-        y[1::2] = [problem.dy0] + odd
+    minus_a = -a
+    skipped = minus_a * zero(mode)  # divided by (k+1)(k+p) > 0, still this zero
+    for k in range(1, n):
+        if stride == 2 and k % 2 == 0:
+            y.append(skipped)
+        else:
+            conv = _step(state, g, y, k, support, stride, warnings.append)
+            y.append(minus_a * conv / ((k + 1) * (k + p)))
     return SolveReport(
         series=Series(y, mode),
         problem=problem,
@@ -142,7 +140,7 @@ def residual_series(problem: EmdenProblem, series: Series) -> Series:
     if series.mode is not problem.mode:
         raise ValueError(f"candidate is {series.mode}, problem is {problem.mode}")
     n = problem.order
-    y = series.coeffs
+    y = as_list(problem.mode, series.coeffs)
     support = _forcing_support(problem)
     state = ExprState(problem.g, problem.mode)
     g: list = []

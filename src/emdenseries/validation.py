@@ -199,8 +199,11 @@ def reference_series(pid: PresetId) -> Series:
             f"no reference series for preset {pid.name!r} "
             f"(available: {', '.join(available)})"
         )
-    with open(os.path.join(_FIXTURES, fname), encoding="utf-8") as f:
-        text = f.read()
+    try:
+        with open(os.path.join(_FIXTURES, fname), encoding="utf-8") as f:
+            text = f.read()
+    except OSError as exc:  # e.g. a build that left out the fixtures directory
+        raise OracleUnavailableError(f"cannot read fixture {exc.filename}: {exc.strerror}") from None
     order = None
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -37,6 +37,13 @@ def conv(a, b, order):
     ]
 
 
+def fraction_dot(xs, ys, start, weights=None):
+    """start + sum of w*x*y over the common prefix, one Fraction at a time."""
+    pairs = list(zip(xs, ys))
+    ws = [1] * len(pairs) if weights is None else list(weights)[: len(pairs)]
+    return Fraction(start) + sum((Fraction(w) * x * y for w, (x, y) in zip(ws, pairs)), Fraction(0))
+
+
 def compose(outer, y, order):
     """Coefficients of sum_j outer[j] * (y - y0)^j, truncated.
 

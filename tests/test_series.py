@@ -17,8 +17,9 @@ from emdenseries import (
     monomial,
     multi_product,
 )
-from emdenseries.series import coerce, dot, guarded_sum, mode_of
+from emdenseries.series import RationalList, as_list, coerce, dot, guarded_sum, mode_of
 
+import oracles
 from conftest import rational, floating, relclose
 
 
@@ -291,8 +292,57 @@ class TestRationalFractionFree:
         else:
             for w, x, y in zip(weights, xs, ys):
                 expected = expected + w * x * y
-        got = dot(xs, ys, start, None if weights is None else iter(weights))
+        xl, yl = as_list(Mode.RATIONAL, xs), as_list(Mode.RATIONAL, ys)
+        got = dot(xl, yl, start, None if weights is None else iter(weights))
         assert type(got) is F and repr(got) == repr(F(expected))
+
+    # denominators from disjoint prime sets, one of them huge, so that appends
+    # rescale by large factors; zeros and negatives included
+    _unnested = st.builds(
+        lambda n, d: F(n, d),
+        st.integers(-10**6, 10**6),
+        st.sampled_from([1, 2, 3, 4, 9, 5**7, 7 * 11, 13**3, 2**61 - 1, (2**89 - 1) * 17]),
+    )
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        xs=st.lists(_unnested, max_size=14),
+        ys=st.lists(_unnested, max_size=14),
+        weights=st.one_of(
+            st.none(), st.lists(st.integers(-50, 50), max_size=14), st.lists(_unnested, max_size=14)
+        ),
+        bounds=st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15)),
+        start=st.one_of(st.just(F(0)), _unnested),
+    )
+    @example(xs=[F(1, 2**61 - 1), 0, F(-3, 5**7)], ys=[F(5, 9), F(-1, 13**3), 7], weights=None,
+             bounds=(0, 3, 3), start=F(0))
+    @example(xs=[F(1, 3)], ys=[F(2, 5)], weights=[F(1, 7)], bounds=(2, 1, 0), start=F(1, 2))
+    def test_appends_and_dot_match_fraction_sums(self, xs, ys, weights, bounds, start):
+        xl, yl = RationalList(), RationalList()
+        for values, rl in ((xs, xl), (ys, yl)):
+            for i, v in enumerate(values):
+                rl.append(v)
+                assert len(rl) == i + 1 and rl[i] == v and rl[-1] == v and rl[0] == values[0]
+            assert list(rl) == values and [rl[i] for i in range(len(values))] == values
+            assert all(type(v) is F for v in rl)
+        lo, hi, top = bounds  # possibly empty: lo >= hi, or past the end
+        cases = [(xl[lo:hi], yl[:top]), (xl[lo:], reversed(yl)), (reversed(xl[:hi]), yl[lo::2])]
+        plain = [(xs[lo:hi], ys[:top]), (xs[lo:], ys[::-1]), (xs[:hi][::-1], ys[lo::2])]
+        for (a, b), (pa, pb) in zip(cases, plain):
+            assert list(a) == pa and list(b) == pb
+            got = dot(a, b, start, None if weights is None else iter(weights))
+            expected = oracles.fraction_dot(pa, pb, start, weights)
+            assert type(got) is F and repr(got) == repr(expected)
+
+    def test_a_float_is_refused(self):
+        with pytest.raises(ModeMismatchError):
+            as_list(Mode.RATIONAL, [F(1, 2), 0.5])
+
+    def test_a_series_keeps_its_own_copy(self):
+        values = RationalList([F(1, 3), F(-1, 6)])
+        s = Series(values, Mode.RATIONAL)
+        values.append(F(1, 7))
+        assert s.coeffs == (F(1, 3), F(-1, 6)) and evaluate(s, 2) == F(0)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(

@@ -393,3 +393,14 @@ class TestExactnessAtHighOrder:
     def test_order_250_series_unchanged(self, pid):
         series = solve(build_preset(pid, 250, Mode.RATIONAL)).series
         assert hashlib.sha256(repr(series.coeffs).encode()).hexdigest() == self.HASHES[pid]
+
+    # recorded before the coefficient lists went over one running denominator
+    HASHES_400 = {
+        PresetId("isothermal"): "580762238a50c87f42eaf0973078e001dca97eb6352b49d8423999cbd6043054",
+        PresetId("lane_emden", m=F(3, 2)): "ba9a8faff2d1a420de7b9c5cde3a42be2df1f2801a59129a40d8969a7a701565",
+    }
+
+    @pytest.mark.parametrize("pid", list(HASHES_400), ids=repr)
+    def test_order_400_series_unchanged(self, pid):
+        series = solve(build_preset(pid, 400, Mode.RATIONAL)).series
+        assert hashlib.sha256(repr(series.coeffs).encode()).hexdigest() == self.HASHES_400[pid]

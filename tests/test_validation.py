@@ -126,6 +126,19 @@ class TestReferenceSeries:
             "line 3, column 5: fixture isothermal.txt: ln(0) is not a finite real number"
         )
 
+    def test_missing_fixture_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a build of the package without its fixtures directory
+        missing = tmp_path / "fixtures"
+        monkeypatch.setattr(validation, "_FIXTURES", str(missing))
+        with pytest.raises(OracleUnavailableError) as err:
+            reference_series(PresetId("isothermal"))
+        path = str(missing / "isothermal.txt")
+        assert str(err.value) == f"cannot read fixture {path}: No such file or directory"
+        code = cli.main(["compare", "--preset", "isothermal", "--order", "12", "--against", "reference"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: cannot read fixture {path}: No such file or directory\n"
+
 
 class TestRkOracle:
     def test_lane_emden_m1_hits_the_closed_form(self):
