@@ -1,22 +1,15 @@
-"""Tour of the series layer: coefficients, modes, and the basic algebra.
+"""Tour of the series layer: coefficients, modes, padding and evaluation.
 
 A series is just the vector of scaled Taylor coefficients Y(k), so that
-y(x) = sum Y(k) x^k up to the truncation order.  Everything else in the
-package is built on the handful of operations shown here.
+y(x) = sum Y(k) x^k up to the truncation order.  The solver builds its
+answer as one of these; products of series come from the same streaming
+expression machinery the solver runs.
 """
 
 from fractions import Fraction as F
 
-from emdenseries import (
-    Mode,
-    Series,
-    add_scaled,
-    cauchy_product,
-    derivative_transform,
-    evaluate,
-    monomial,
-    multi_product,
-)
+from emdenseries import Mode, ModeMismatchError, Series, evaluate, parse_expression
+from emdenseries.expr import ExprState
 
 # Two modes: exact rationals (arbitrary precision) and IEEE doubles.
 # Ints are fine in both; a float in a rational series is an error.
@@ -24,29 +17,30 @@ exact = Series([1, 0, F(-1, 6), 0, F(1, 120)], Mode.RATIONAL)
 approx = exact.to_float()
 print("exact coefficients: ", exact.coeffs)
 print("float coefficients: ", approx.coeffs)
-
-# Linear combinations and derivatives work coefficient-wise.  The
-# derivative rule shifts and scales: F(k) = (k+1)...(k+n) Y(k+n).
-print("\nsecond derivative:  ", derivative_transform(exact, 2).coeffs)
-print("3*s - s:            ", add_scaled(3, exact, -1, exact).coeffs)
-
-# Multiplication is the Cauchy convolution, truncated at the common
-# order.  (1+x)^3 via repeated products:
-one_plus_x = Series([1, 1, 0, 0], Mode.RATIONAL)
-print("\n(1+x)^2:", cauchy_product(one_plus_x, one_plus_x).coeffs)
-print("(1+x)^3:", multi_product([one_plus_x] * 3).coeffs)
-
-# monomial(n, N) is the transform of x^n; monomial(0, N) is the product
-# identity.
-print("\nx^2 at order 4:    ", monomial(2, 4).coeffs)
-print("identity check:    ", cauchy_product(exact, monomial(0, 4)) == exact)
+try:
+    Series([1, 0.5], Mode.RATIONAL)
+except ModeMismatchError as exc:
+    print("float in a rational series:", exc)
 
 # Evaluation is Horner's scheme; in rational mode it is exact.
 print("\ny(1/2) exactly:    ", evaluate(exact, F(1, 2)))
 print("y(0.5) in floats:  ", evaluate(approx, 0.5))
+print("called directly:   ", exact(F(1, 2)) == evaluate(exact, F(1, 2)))
 
 # Truncation means products of order-N series stay order-N: pad first
-# when the higher terms matter.
+# when the higher terms matter.  pad only ever extends.
 a = Series([1, 1], Mode.RATIONAL)
-print("\ntruncating product:", cauchy_product(a, a).coeffs)
-print("padded product:    ", cauchy_product(a.pad(2), a.pad(2)).coeffs)
+print("\n1 + x padded to order 3:", a.pad(3).coeffs)
+
+
+# The square of a series is g(y) = y^2 streamed one coefficient at a time:
+# G(k) needs Y(0..k) only, which is what lets the solver interleave it.
+def square(series):
+    state = ExprState(parse_expression("y^2"), series.mode)
+    ys = list(series.coeffs)
+    return [state.advance(ys[: k + 1]) for k in range(len(ys))]
+
+
+print("\n(1+x)^2, truncated: ", square(a))
+print("(1+x)^2, padded:    ", square(a.pad(2)))
+print("(sin(x)/x)^2:       ", square(exact))

@@ -14,18 +14,26 @@ from emdenseries import (
     ExpKernel,
     Mode,
     PowerKernel,
-    Series,
     SinCosKernel,
-    batch_transform,
-    cauchy_product,
-    monomial,
     parse_expression,
 )
 from emdenseries.expr import ExprState
 
+
+def transform(kernel, ys):
+    """Feed Y(0..k) to the kernel for each k in turn; F(k), or (F(k), G(k))
+    for the sin/cos pair, comes back from each step."""
+    return [kernel.advance(ys[: k + 1]) for k in range(len(ys))]
+
+
+def square(fs):
+    """Truncated Cauchy product of a coefficient list with itself."""
+    return [sum(fs[r] * fs[k - r] for r in range(k + 1)) for k in range(len(fs))]
+
+
 # Feed y = x into the exp kernel: out come the e^x coefficients 1/k!.
-y = Series([0, 1, 0, 0, 0, 0], Mode.RATIONAL)
-print("exp(x) coefficients:", batch_transform(ExpKernel(F(1), Mode.RATIONAL), y).coeffs)
+y = [F(0), F(1), F(0), F(0), F(0), F(0)]
+print("exp(x) coefficients:", transform(ExpKernel(F(1), Mode.RATIONAL), y))
 
 # The kernels are incremental: they produce F(k) from Y(0..k) alone.
 # That causality is what lets the solver interleave them with the
@@ -39,16 +47,15 @@ for k in range(3):
 # sin and cos come out as a coupled pair; on an exact zero seed the
 # whole computation stays rational, and sin^2 + cos^2 == 1 holds
 # coefficient-by-coefficient, exactly.
-y = Series([0, 1, F(-1, 3), F(2, 7), 0, F(5, 11)], Mode.RATIONAL)
-s, c = batch_transform(SinCosKernel(F(1), Mode.RATIONAL), y)
-ss, cc = cauchy_product(s, s), cauchy_product(c, c)
-total = Series([a + b for a, b in zip(ss.coeffs, cc.coeffs)], Mode.RATIONAL)
-print("\nsin^2 + cos^2 == 1:", total == monomial(0, y.order))
+y = [F(0), F(1), F(-1, 3), F(2, 7), F(0), F(5, 11)]
+s, c = zip(*transform(SinCosKernel(F(1), Mode.RATIONAL), y))
+total = [a + b for a, b in zip(square(s), square(c))]
+print("\nsin^2 + cos^2 == 1:", total == [1, 0, 0, 0, 0, 0])
 
 # Integer powers agree with brute-force repeated multiplication but run
 # in O(k) per coefficient instead of m convolutions.
-y = Series([2, 1, F(-1, 2), 0, 1], Mode.RATIONAL)
-print("y^5 via recurrence: ", batch_transform(PowerKernel(5, Mode.RATIONAL), y).coeffs[:3], "...")
+y = [F(2), F(1), F(-1, 2), F(0), F(1)]
+print("y^5 via recurrence: ", transform(PowerKernel(5, Mode.RATIONAL), y)[:3], "...")
 
 # Whole expressions stream the same way.
 g = parse_expression("18*y + 4*y*ln(y)")

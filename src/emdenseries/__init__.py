@@ -5,14 +5,15 @@ The package solves initial-value problems of the form
     y'' + (p/x) y' + a f(x) g(y) = 0,    y(0) = y0,  y'(0) = 0,
 
 by turning them into a causal recurrence on scaled Taylor coefficients:
-series arithmetic lives in :mod:`emdenseries.series`, the transforms of
-nonlinear g(y) in :mod:`emdenseries.kernels` and
-:mod:`emdenseries.expr`, the problem model and parsers in
-:mod:`emdenseries.problem`, the recurrence itself in
-:mod:`emdenseries.solver`, and independent checks (closed forms, quoted
-literature series, an off-origin integrator) in
+the truncated series, its two arithmetic modes and its evaluation live
+in :mod:`emdenseries.series`, the transforms of nonlinear g(y) in
+:mod:`emdenseries.kernels` and :mod:`emdenseries.expr`, the problem
+model and parsers in :mod:`emdenseries.problem`, the recurrence itself
+in :mod:`emdenseries.solver`, and independent checks (closed forms,
+quoted literature series, an off-origin integrator) in
 :mod:`emdenseries.validation`.  A command-line front end is in
-:mod:`emdenseries.cli`.
+:mod:`emdenseries.cli`.  The names exported here are the library API
+(listed in README.md).
 
 Quick start::
 
@@ -28,12 +29,7 @@ from .series import (
     ModeMismatchError,
     OrderMismatchError,
     Series,
-    add_scaled,
-    cauchy_product,
-    derivative_transform,
     evaluate,
-    monomial,
-    multi_product,
 )
 from .kernels import (
     ExpKernel,
@@ -43,7 +39,6 @@ from .kernels import (
     SinCosKernel,
     SinhCoshKernel,
     TranscendentalSeedError,
-    batch_transform,
 )
 from .expr import (
     Const,
@@ -93,11 +88,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FloatRangeError", "Mode", "ModeMismatchError", "OrderMismatchError", "Series",
-    "add_scaled", "cauchy_product", "derivative_transform", "evaluate",
-    "monomial", "multi_product",
+    "evaluate",
     "ExpKernel", "KernelDomainError", "LogKernel", "PowerKernel",
     "SinCosKernel", "SinhCoshKernel", "TranscendentalSeedError",
-    "batch_transform",
     "Const", "Cos", "Cosh", "Exp", "ExprState", "GExpr", "Log", "Power",
     "Product", "Scale", "Sin", "Sinh", "Sum", "Var", "evaluate_scalar",
     "format_expr", "validate_expr",

@@ -370,10 +370,6 @@ class ExprState:
     def next_index(self) -> int:
         return len(self._root)
 
-    def prefix(self) -> tuple:
-        """All root coefficients G(0..next_index-1) emitted so far."""
-        return tuple(self._root)
-
     def advance(self, y_prefix: Sequence[Number]) -> Number:
         """Consume Y(0..k) for k == next_index; return G(k) of the root."""
         k = self.next_index

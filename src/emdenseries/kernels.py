@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import mul, sub
 
-from .series import Mode, ModeMismatchError, Series, as_list, coerce, dot, zero
+from .series import Mode, ModeMismatchError, as_list, coerce, dot, zero
 
 
 class KernelDomainError(ValueError):
@@ -92,15 +92,8 @@ class Kernel:
         self.mode = mode
         self.f = as_list(mode)
 
-    @property
-    def next_index(self) -> int:
-        return len(self.f)
-
-    def coefficients(self) -> tuple:
-        return tuple(self.f)
-
     def advance(self, y_prefix):
-        """Consume Y(0..k) for k == next_index and return F(k).
+        """Consume Y(0..k), k the number of F values so far, and return F(k).
 
         Earlier entries of the prefix must be the same values seen on
         previous calls; the kernel never re-reads them, so causality
@@ -272,9 +265,6 @@ class _CircularKernel(Kernel):
         self.g = as_list(mode)
         self._dy = as_list(mode)  # r Y(r), r = 1..k
 
-    def coefficients(self):
-        return tuple(self.f), tuple(self.g)
-
     def _step(self, k, y):
         if k == 0:
             s = self.alpha * coerce(y[0], self.mode)
@@ -302,23 +292,3 @@ class SinhCoshKernel(_CircularKernel):
     _sign = 1
     functions = (math.sinh, math.cosh)
     names = ("sinh", "cosh")
-
-
-def batch_transform(kernel: Kernel, y: Series):
-    """Drive a fresh kernel across a whole series.
-
-    Returns one Series for plain kernels and a (F, G) pair for the
-    paired ones.  Intended for tests and post-hoc work on a finished
-    series; the solver itself streams.
-    """
-    if kernel.next_index != 0:
-        raise ValueError("batch_transform needs a fresh kernel")
-    if kernel.mode is not y.mode:
-        raise ModeMismatchError(f"{kernel.mode} kernel with a {y.mode} series")
-    ys = as_list(y.mode, y.coeffs)
-    for k in range(y.order + 1):
-        kernel.advance(ys[: k + 1])
-    if kernel.paired:
-        fs, gs = kernel.coefficients()
-        return Series(fs, y.mode), Series(gs, y.mode)
-    return Series(kernel.coefficients(), y.mode)

@@ -6,15 +6,16 @@ highest power N (the *order*), so that
 
     y(x) ~ Y(0) + Y(1) x + ... + Y(N) x^N.
 
-All arithmetic is coefficient-wise and truncating: products of order-N
-series are order-N series and terms above x^N are dropped.  Callers that
-need more headroom pad first (see :func:`pad`).  Cauchy products and
-the kernel recurrences all convolve through :func:`dot`, one
-left-to-right multiply-accumulate; the sums that report float
-cancellation go through :func:`guarded_sum` instead.  Rational lists hold
-integer numerators over one running denominator (Knuth, TAOCP vol. 2,
-4.5.1), so :func:`dot` and :func:`evaluate` are each one integer sum,
-normalised once; Fractions are canonical, so the values do not change.
+Products are truncating: the product of order-N series is an order-N
+series and terms above x^N are dropped.  Callers that need more headroom
+pad first (see :meth:`Series.pad`).  The exact products of expression
+trees (:class:`emdenseries.expr.ExprState`) and the kernel recurrences
+all convolve through :func:`dot`, one left-to-right multiply-accumulate;
+the sums that report float cancellation go through :func:`guarded_sum`
+instead.  Rational lists hold integer numerators over one running
+denominator (Knuth, TAOCP vol. 2, 4.5.1), so :func:`dot` and
+:func:`evaluate` are each one integer sum, normalised once; Fractions
+are canonical, so the values do not change.
 
 Two coefficient modes exist and are never mixed silently:
 
@@ -257,16 +258,10 @@ class Series(Record):
         """Zero-extend up to ``order`` (a no-op at the current order)."""
         if order < self.order:
             raise OrderMismatchError(
-                f"cannot pad order {self.order} down to {order}; use truncate"
+                f"cannot pad order {self.order} down to {order}: pad only extends"
             )
         z = zero(self.mode)
         return Series(self.coeffs + (z,) * (order - self.order), self.mode)
-
-    def truncate(self, order: int) -> "Series":
-        """Drop coefficients above ``order``."""
-        if order > self.order:
-            raise OrderMismatchError(f"series has no coefficients beyond {self.order}")
-        return Series(self.coeffs[: order + 1], self.mode)
 
     def to_float(self) -> "Series":
         """Explicit conversion to float mode (exact values may round)."""
@@ -274,13 +269,6 @@ class Series(Record):
             return self
         coeffs = [as_float(c, f"coefficient of x^{k}") for k, c in enumerate(self.coeffs)]
         return Series(coeffs, Mode.FLOAT)
-
-
-def _check_pair(g: Series, h: Series):
-    if g.mode is not h.mode:
-        raise ModeMismatchError(f"cannot combine {g.mode} and {h.mode} series")
-    if g.order != h.order:
-        raise OrderMismatchError(f"order {g.order} vs {h.order}; pad the shorter one")
 
 
 def _check_scalar(value, mode: Mode) -> Number:
@@ -292,41 +280,16 @@ def _check_scalar(value, mode: Mode) -> Number:
     raise ModeMismatchError(f"{got} scalar {value!r} with a {mode} series")
 
 
-def add_scaled(alpha, g: Series, beta, h: Series) -> Series:
-    """Linear combination alpha*g + beta*h, coefficient by coefficient."""
-    _check_pair(g, h)
-    a = _check_scalar(alpha, g.mode)
-    b = _check_scalar(beta, g.mode)
-    return Series(
-        [a * gc + b * hc for gc, hc in zip(g.coeffs, h.coeffs)], g.mode
-    )
-
-
-def derivative_transform(g: Series, n: int) -> Series:
-    """Coefficients of the n-th derivative of the function behind ``g``.
-
-    Differentiating y(x) = sum Y(k) x^k term by term n times gives the
-    coefficient rule F(k) = (k+1)(k+2)...(k+n) * Y(k+n); the result is
-    shorter by n.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"derivative count must be a positive integer, got {n!r}")
-    if n > g.order:
-        raise OrderMismatchError(
-            f"cannot take {n} derivatives of an order-{g.order} series"
-        )
-    return Series([math.perm(k + n, n) * g.coeffs[k + n] for k in range(g.order - n + 1)], g.mode)
-
-
 def dot(xs, ys, start: Number, weights=None) -> Number:
     """``start + x0*y0 + x1*y1 + ...``, or with ``weights`` each term
     ``(w*x)*y``, accumulated left to right and stopping at the shortest
     input.
 
-    Cauchy products and every kernel recurrence call it.  Callers pass
-    :func:`zero` as ``start``; starting from the first term instead would
-    turn a sum of -0.0 terms into -0.0 rather than 0.0.  A Fraction ``start``
-    takes RationalLists (:func:`as_list`) and int or Fraction weights.
+    Exact expression products and every kernel recurrence call it.
+    Callers pass :func:`zero` as ``start``; starting from the first term
+    instead would turn a sum of -0.0 terms into -0.0 rather than 0.0.  A
+    Fraction ``start`` takes RationalLists (:func:`as_list`) and int or
+    Fraction weights.
     """
     if type(start) is Fraction:  # not isinstance: a check against the ABC slows every float dot
         den, start_den = xs.den * ys.den, start.denominator
@@ -340,34 +303,6 @@ def dot(xs, ys, start: Number, weights=None) -> Number:
         for w, x, y in zip(weights, xs, ys):
             acc += w * x * y
     return acc
-
-
-def cauchy_product(g: Series, h: Series) -> Series:
-    """Product series: F(k) = sum_{r=0..k} G(r) H(k-r), truncated at the
-    common order."""
-    _check_pair(g, h)
-    gc, hc, z = g._list, h._list, zero(g.mode)
-    return Series([dot(gc[: k + 1], hc[k::-1], z) for k in range(g.order + 1)], g.mode)
-
-
-def multi_product(factors: Sequence[Series]) -> Series:
-    """Product of several series, folded left through :func:`cauchy_product`."""
-    if not factors:
-        raise ValueError("multi_product needs at least one factor")
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = cauchy_product(acc, f)
-    return acc
-
-
-def monomial(n: int, order: int, mode: Mode = Mode.RATIONAL) -> Series:
-    """The series of x^n at the given order: 1 at index n, 0 elsewhere."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"monomial degree must be a nonnegative integer, got {n!r}")
-    if n > order:
-        raise OrderMismatchError(f"x^{n} does not fit in an order-{order} series")
-    z, o = zero(mode), coerce(1, mode)
-    return Series([o if k == n else z for k in range(order + 1)], mode)
 
 
 def evaluate(s: Series, x) -> Number:

@@ -37,7 +37,7 @@ from .problem import (
     _Cursor,
     _preset_info,
 )
-from .series import Mode, Record, Series, as_float, derivative_transform, evaluate
+from .series import Mode, Record, Series, as_float, evaluate
 from .solver import solve
 
 
@@ -316,7 +316,9 @@ def rk_trajectory(
     g = problem.g
     series = solve(problem).series.to_float()
     reached = x_start
-    state = (evaluate(series, x_start), evaluate(derivative_transform(series, 1), x_start))
+    # y'(x) = sum k Y(k) x^(k-1)
+    dy = Series([k * c for k, c in enumerate(series.coeffs)][1:], Mode.FLOAT)
+    state = (evaluate(series, x_start), evaluate(dy, x_start))
     p, a = (as_float(getattr(problem, name), f"equation constant {name}") for name in "pa")
     f_poly = problem.f_poly.to_float()
 

@@ -6,8 +6,10 @@ combined with explicit polynomial powers, plain binomial series, a
 direct second-order coefficient recurrence, g(y) by a walk of the tree,
 and the generic n-component Dormand-Prince integrator.  Convolutions are
 written out locally so these helpers share no code path with the series
-module; only the integrator's driver solves and evaluates f and the seed
-through the library, as the code under test does.
+module; only the integrator's driver solves and evaluates f and y at the
+start point through the library, as the code under test does.
+:func:`drive` is not an oracle: it runs a kernel under test over a whole
+coefficient list.
 """
 
 from fractions import Fraction
@@ -22,7 +24,6 @@ from emdenseries import (
     Scale,
     Sum,
     Var,
-    derivative_transform,
     evaluate,
     solve,
 )
@@ -35,6 +36,14 @@ def conv(a, b, order):
         sum(a[r] * b[k - r] for r in range(k + 1) if r < len(a) and k - r < len(b))
         for k in range(order + 1)
     ]
+
+
+def drive(kernel, coeffs):
+    """Advance a fresh kernel through every prefix of ``coeffs``; return the
+    list of F(k), or the two lists (F, G) of a paired kernel."""
+    ys = list(coeffs)
+    out = [kernel.advance(ys[: k + 1]) for k in range(len(ys))]
+    return tuple(map(list, zip(*out))) if kernel.paired else out
 
 
 def fraction_dot(xs, ys, start, weights=None):
@@ -315,7 +324,12 @@ def generic_trajectory(problem, xs, x_start=1e-3, tol=1e-10):
     g = problem.g
     series = solve(problem).series.to_float()
     reached = x_start
-    state = (evaluate(series, x_start), evaluate(derivative_transform(series, 1), x_start))
+    # y'(x_start) = sum k Y(k) x_start^(k-1), by Horner from the top term
+    c = series.coeffs
+    dy = (len(c) - 1) * c[-1]
+    for k in range(len(c) - 2, 0, -1):
+        dy = dy * x_start + k * c[k]
+    state = (evaluate(series, x_start), dy)
     p, a = float(problem.p), float(problem.a)
     f_poly = problem.f_poly.to_float()
 

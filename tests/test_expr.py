@@ -26,7 +26,6 @@ from emdenseries import (
     Sinh,
     Sum,
     Var,
-    batch_transform,
     evaluate_scalar,
     format_expr,
     parse_expression,
@@ -35,7 +34,6 @@ from emdenseries import (
 from emdenseries.kernels import PrefixLengthError
 
 import oracles
-from conftest import rational
 
 
 def run_state(e, y, mode=Mode.RATIONAL):
@@ -85,8 +83,7 @@ class TestTransform:
             F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(5)
         ]
         via_expr = run_state(Power(3), y)
-        via_kernel = batch_transform(PowerKernel(3, Mode.RATIONAL), rational(y))
-        assert via_expr == list(via_kernel.coeffs)
+        assert via_expr == oracles.drive(PowerKernel(3, Mode.RATIONAL), y)
 
     def test_linearity_exact(self):
         rng = random.Random(43)
@@ -121,19 +118,18 @@ class TestTransform:
         e = Sum((Exp(F(1)), Scale(F(2), Exp(F(1, 2)))))
         state = ExprState(e, Mode.RATIONAL)
         y = [F(0), F(1), F(0)]
-        for k in range(3):
-            state.advance(y[: k + 1])
+        got = [state.advance(y[: k + 1]) for k in range(3)]
         assert state.kernel_calls == 6  # two kernels, three steps each
         assert state.next_index == 3
         # e^x + 2e^(x/2) = 3 + 2x + (1/2 + 1/4)x^2 + ...
-        assert state.prefix() == (F(3), F(2), F(3, 4))
+        assert got == [F(3), F(2), F(3, 4)]
 
     def test_sin_and_cos_share_one_kernel(self):
         y = [F(0), F(1), F(-1, 2), F(0), F(2, 3), F(1, 5)]
         state = ExprState(parse_expression("sin(y) + 2*cos(y)"), Mode.RATIONAL)
         got = [state.advance(y[: k + 1]) for k in range(len(y))]
         assert state.kernel_calls == len(y)  # one paired kernel, not two
-        sin_y, cos_y = batch_transform(SinCosKernel(1, Mode.RATIONAL), rational(y))
+        sin_y, cos_y = oracles.drive(SinCosKernel(1, Mode.RATIONAL), y)
         assert got == [s + 2 * c for s, c in zip(sin_y, cos_y)]
 
     def test_equal_subtrees_share_one_kernel(self):
@@ -152,6 +148,117 @@ class TestTransform:
         e = Sum((Const(F(1)), Const(1.0)))
         with pytest.raises(ModeMismatchError):
             ExprState(e, Mode.RATIONAL).advance([F(0)])
+
+
+def _random_prefix(rng, n, bound=9):
+    return [F(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(n)]
+
+
+class TestProductNode:
+    """Products of expression slots, at fixed examples: the truncated Cauchy
+    product of the operands' coefficients."""
+
+    ONE_PLUS_Y = Sum((Var(), Const(F(1))))
+
+    def test_multiplicative_identity(self):
+        assert run_state(Product((Var(), Const(F(1)))), [F(1), F(1)]) == [F(1), F(1)]
+
+    def test_binomial_square(self):
+        assert run_state(Product((Var(), Var())), [F(1), F(1), F(0)]) == [F(1), F(2), F(1)]
+
+    def test_x_squared(self):
+        assert run_state(Product((Var(), Var())), [F(0), F(1), F(0)]) == [F(0), F(0), F(1)]
+
+    def test_truncation_drops_high_terms(self):
+        # the x^2 term is beyond the order
+        assert run_state(Product((Var(), Var())), [F(1), F(1)]) == [F(1), F(2)]
+
+    def test_identity_element(self):
+        y = _random_prefix(random.Random(7), 6)
+        assert run_state(Product((Var(), Const(F(1)))), y) == y
+        assert run_state(Product((Const(F(1)), Var())), y) == y
+
+    def test_single_factor(self):
+        y = [F(1), F(1)]
+        assert run_state(Product((Var(),)), y) == y
+
+    def test_binomial_cube(self):
+        y = [F(0), F(1), F(0), F(0)]  # x, so 1 + y = 1 + x
+        e = Product((self.ONE_PLUS_Y,) * 3)
+        assert run_state(e, y) == [F(1), F(3), F(3), F(1)]
+
+    def test_x_cubed(self):
+        y = [F(0), F(1), F(0), F(0)]
+        assert run_state(Product((Var(), Var(), Var())), y) == [F(0), F(0), F(0), F(1)]
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            Product(())
+
+    def test_equals_nested_sum_formula(self):
+        # three different factors, y, exp(y) and 2 + y, written as the explicit double sum
+        y = [F(0)] + _random_prefix(random.Random(19), 4, 5)
+        factors = (Var(), Exp(F(1)), Sum((Var(), Const(F(2)))))
+        fs = [run_state(f, y) for f in factors]
+        got = run_state(Product(factors), y)
+        for k in range(5):
+            expected = sum(
+                fs[0][k1] * fs[1][k2 - k1] * fs[2][k - k2]
+                for k2 in range(k + 1)
+                for k1 in range(k2 + 1)
+            )
+            assert got[k] == expected
+
+    def test_left_fold_equivalence(self):
+        y = [F(0)] + _random_prefix(random.Random(23), 3, 5)
+        factors = (Sin(F(1)), self.ONE_PLUS_Y, Cosh(F(1, 2)), Var())
+        nested = factors[0]
+        for f in factors[1:]:
+            nested = Product((nested, f))
+        assert run_state(Product(factors), y) == run_state(nested, y)
+
+
+_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+_alpha = _coeff.filter(bool)
+# subtrees whose coefficients stay exact at Y(0) = 0
+_slots = st.one_of(
+    st.just(Var()),
+    st.builds(Const, _coeff),
+    st.builds(Scale, _alpha, st.just(Var())),
+    st.builds(lambda c: Sum((Var(), Const(c))), _coeff),
+    st.just(Power(2)),
+    *(st.builds(node, _alpha) for node in (Exp, Sin, Cos, Sinh, Cosh)),
+    st.builds(Log, _alpha, st.just(F(1))),
+)
+
+
+class TestProductProperty:
+    """A product node is the truncated Cauchy convolution of its operands'
+    coefficients, whatever slots they come from."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(a=_slots, b=_slots, c=_slots, tail=st.lists(_coeff, max_size=7))
+    def test_exact_product_is_the_convolution(self, a, b, c, tail):
+        y = [F(0)] + tail
+        n = len(tail)
+        va, vb, vc = (run_state(e, y) for e in (a, b, c))
+        ab = run_state(Product((a, b)), y)
+        assert ab == oracles.conv(va, vb, n)
+        assert run_state(Product((b, a)), y) == ab
+        left = run_state(Product((Product((a, b)), c)), y)
+        assert left == run_state(Product((a, Product((b, c)))), y) == oracles.conv(ab, vc, n)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(a=_slots, b=_slots, tail=st.lists(_coeff, max_size=7))
+    def test_float_product_is_the_convolution(self, a, b, tail):
+        y = [0.0] + [float(v) for v in tail]
+        n = len(tail)
+        va, vb = (run_state(e, y, Mode.FLOAT) for e in (a, b))
+        bound = oracles.conv([abs(v) for v in va], [abs(v) for v in vb], n)
+        want = oracles.conv(va, vb, n)
+        for e in (Product((a, b)), Product((b, a))):
+            for g, w, m in zip(run_state(e, y, Mode.FLOAT), want, bound):
+                assert abs(g - w) <= 1e-14 * m
 
 
 class TestValidation:

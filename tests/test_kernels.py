@@ -13,41 +13,37 @@ from emdenseries import (
     Mode,
     ModeMismatchError,
     PowerKernel,
-    Series,
     SinCosKernel,
     SinhCoshKernel,
     TranscendentalSeedError,
-    batch_transform,
-    cauchy_product,
-    monomial,
-    multi_product,
 )
 from emdenseries.kernels import PrefixLengthError
 
 import oracles
-from conftest import rational, floating, relclose
+from conftest import relclose
 
 
-def run_kernel(kernel, y):
-    out = []
-    for k in range(len(y)):
-        out.append(kernel.advance(y[: k + 1]))
+def repeated_product(y, m):
+    """y^m as m truncated convolutions of y with itself (1 for m = 0)."""
+    out = [F(1)] + [F(0)] * (len(y) - 1)
+    for _ in range(m):
+        out = oracles.conv(out, y, len(y) - 1)
     return out
 
 
 class TestPowerKernel:
     def test_square_of_one_plus_x(self):
-        got = run_kernel(PowerKernel(2, Mode.RATIONAL), [F(1), F(1), F(0)])
+        got = oracles.drive(PowerKernel(2, Mode.RATIONAL), [F(1), F(1), F(0)])
         assert got == [F(1), F(2), F(1)]
 
     def test_exponent_one_is_identity(self):
         y = [F(3), F(-1, 2), F(7), F(0), F(2, 5)]
-        got = run_kernel(PowerKernel(1, Mode.RATIONAL), y)
+        got = oracles.drive(PowerKernel(1, Mode.RATIONAL), y)
         assert got == y
 
     def test_exponent_zero_is_constant_one(self):
         y = [F(2), F(1), F(-4)]
-        got = run_kernel(PowerKernel(0, Mode.RATIONAL), y)
+        got = oracles.drive(PowerKernel(0, Mode.RATIONAL), y)
         assert got == [F(1), F(0), F(0)]
 
     def test_integer_power_matches_repeated_product(self):
@@ -55,17 +51,15 @@ class TestPowerKernel:
         for m in (2, 3, 4, 5):
             coeffs = [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(6)]
             coeffs[0] = F(rng.randint(1, 5))
-            s = rational(coeffs)
-            got = batch_transform(PowerKernel(m, Mode.RATIONAL), s)
-            assert got == multi_product([s] * m)
+            got = oracles.drive(PowerKernel(m, Mode.RATIONAL), coeffs)
+            assert got == repeated_product(coeffs, m)
 
     def test_zero_seed_integer_power_uses_products(self):
         # the general recurrence divides by Y(0); y^m must still work
-        s = rational([0, 1, 2, 3, 0, 1])
+        y = [F(0), F(1), F(2), F(3), F(0), F(1)]
         for m in (0, 1, 2, 3):
-            got = batch_transform(PowerKernel(m, Mode.RATIONAL), s)
-            expected = multi_product([s] * m) if m else monomial(0, 5)
-            assert got == expected
+            got = oracles.drive(PowerKernel(m, Mode.RATIONAL), y)
+            assert got == repeated_product(y, m)
 
     def test_zero_seed_non_integer_rejected(self):
         with pytest.raises(KernelDomainError):
@@ -77,7 +71,7 @@ class TestPowerKernel:
 
     def test_negative_integer_exponent(self):
         # 1/(1+x) = 1 - x + x^2 - ...
-        got = run_kernel(PowerKernel(-1, Mode.RATIONAL), [F(1), F(1), F(0), F(0)])
+        got = oracles.drive(PowerKernel(-1, Mode.RATIONAL), [F(1), F(1), F(0), F(0)])
         assert got == [F(1), F(-1), F(1), F(-1)]
 
     def test_exact_rational_root_seed(self):
@@ -97,7 +91,7 @@ class TestPowerKernel:
     def test_half_power_matches_binomial_series(self):
         # (1+x)^(1/2) around 1: exact binomial coefficients
         y = [F(1), F(1), F(0), F(0), F(0)]
-        got = run_kernel(PowerKernel(F(1, 2), Mode.RATIONAL), y)
+        got = oracles.drive(PowerKernel(F(1, 2), Mode.RATIONAL), y)
         assert got == [oracles.binomial(F(1, 2), j) for j in range(5)]
 
     def test_float_exponent_in_rational_mode_rejected(self):
@@ -121,21 +115,21 @@ class TestRationalPowerProperty:
         elif m >= 0 and negative:
             y0 = -y0
         y = [y0] + tail
-        got = run_kernel(PowerKernel(m, Mode.RATIONAL), y)
+        got = oracles.drive(PowerKernel(m, Mode.RATIONAL), y)
         assert got == oracles.compose_fn("power", {"m": m}, y, len(tail))
 
 
 class TestExpKernel:
     def test_exp_of_x(self):
-        got = run_kernel(ExpKernel(F(1), Mode.RATIONAL), [F(0), F(1), F(0), F(0)])
+        got = oracles.drive(ExpKernel(F(1), Mode.RATIONAL), [F(0), F(1), F(0), F(0)])
         assert got == [F(1), F(1), F(1, 2), F(1, 6)]
 
     def test_isothermal_prefix(self):
-        got = run_kernel(ExpKernel(F(1), Mode.RATIONAL), [F(0), F(0), F(-1, 6), F(0)])
+        got = oracles.drive(ExpKernel(F(1), Mode.RATIONAL), [F(0), F(0), F(-1, 6), F(0)])
         assert got[:3] == [F(1), F(0), F(-1, 6)]
 
     def test_half_alpha(self):
-        got = run_kernel(ExpKernel(F(1, 2), Mode.RATIONAL), [F(0), F(1)])
+        got = oracles.drive(ExpKernel(F(1, 2), Mode.RATIONAL), [F(0), F(1)])
         assert got[1] == F(1, 2)
 
     def test_transcendental_seed_rejected(self):
@@ -149,15 +143,15 @@ class TestExpKernel:
 
 class TestLogKernel:
     def test_log_one_plus_x(self):
-        got = run_kernel(LogKernel(F(1), F(1), Mode.RATIONAL), [F(0), F(1), F(0), F(0)])
+        got = oracles.drive(LogKernel(F(1), F(1), Mode.RATIONAL), [F(0), F(1), F(0), F(0)])
         assert got == [F(0), F(1), F(-1, 2), F(1, 3)]
 
     def test_log_around_one(self):
-        got = run_kernel(LogKernel(F(1), F(0), Mode.RATIONAL), [F(1), F(0), F(-1, 6)])
+        got = oracles.drive(LogKernel(F(1), F(0), Mode.RATIONAL), [F(1), F(0), F(-1, 6)])
         assert got == [F(0), F(0), F(-1, 6)]
 
     def test_slope_two(self):
-        got = run_kernel(LogKernel(F(2), F(1), Mode.RATIONAL), [F(0), F(1)])
+        got = oracles.drive(LogKernel(F(2), F(1), Mode.RATIONAL), [F(0), F(1)])
         assert got[1] == F(2)
 
     def test_domain_violation(self):
@@ -175,16 +169,16 @@ class TestCircularKernels:
     def test_sin_cos_of_x(self):
         k = SinCosKernel(F(1), Mode.RATIONAL)
         y = [F(0), F(1), F(0), F(0)]
-        fs, gs = zip(*run_kernel(k, y))
-        assert list(fs) == [F(0), F(1), F(0), F(-1, 6)]
-        assert list(gs) == [F(1), F(0), F(-1, 2), F(0)]
+        fs, gs = oracles.drive(k, y)
+        assert fs == [F(0), F(1), F(0), F(-1, 6)]
+        assert gs == [F(1), F(0), F(-1, 2), F(0)]
 
     def test_sinh_cosh_of_x(self):
         k = SinhCoshKernel(F(1), Mode.RATIONAL)
         y = [F(0), F(1), F(0), F(0)]
-        fs, gs = zip(*run_kernel(k, y))
-        assert list(fs) == [F(0), F(1), F(0), F(1, 6)]
-        assert list(gs) == [F(1), F(0), F(1, 2), F(0)]
+        fs, gs = oracles.drive(k, y)
+        assert fs == [F(0), F(1), F(0), F(1, 6)]
+        assert gs == [F(1), F(0), F(1, 2), F(0)]
 
     def test_sin_seed_at_one(self):
         f0, g0 = SinCosKernel(1.0, Mode.FLOAT).advance([1.0])
@@ -196,14 +190,14 @@ class TestCircularKernels:
         assert f0 == pytest.approx((math.e - 1 / math.e) / 2)
 
     def test_double_angle_slope(self):
-        f, g = zip(*run_kernel(SinCosKernel(F(2), Mode.RATIONAL), [F(0), F(1)]))
+        f, g = oracles.drive(SinCosKernel(F(2), Mode.RATIONAL), [F(0), F(1)])
         assert f[1] == F(2) and g[1] == F(0)
 
     def test_sinh_of_solution_prefix(self):
         s1 = math.sinh(1.0)
         k = SinhCoshKernel(1.0, Mode.FLOAT)
-        vals = run_kernel(k, [1.0, 0.0, -s1 / 6])
-        assert vals[2][0] == pytest.approx(-s1 * math.cosh(1.0) / 6, rel=1e-14)
+        f, _ = oracles.drive(k, [1.0, 0.0, -s1 / 6])
+        assert f[2] == pytest.approx(-s1 * math.cosh(1.0) / 6, rel=1e-14)
 
     def test_transcendental_seed_rejected(self):
         with pytest.raises(TranscendentalSeedError):
@@ -225,56 +219,44 @@ class TestKernelProtocol:
         with pytest.raises(ModeMismatchError):
             ExpKernel(F(1), Mode.RATIONAL).advance([0.5])
 
-    def test_batch_needs_fresh_kernel(self):
-        k = ExpKernel(F(1), Mode.RATIONAL)
-        k.advance([F(0)])
-        with pytest.raises(ValueError):
-            batch_transform(k, rational([0, 1]))
-
     def test_causality(self):
         # F(0..k) must not care about Y beyond k
         base = [F(0), F(2), F(-1, 3), F(4), F(1, 7)]
         tail_changed = base[:3] + [F(99), F(-5)]
-        a = run_kernel(ExpKernel(F(1), Mode.RATIONAL), base)
-        b = run_kernel(ExpKernel(F(1), Mode.RATIONAL), tail_changed)
+        a = oracles.drive(ExpKernel(F(1), Mode.RATIONAL), base)
+        b = oracles.drive(ExpKernel(F(1), Mode.RATIONAL), tail_changed)
         assert a[:3] == b[:3]
         assert a[3:] != b[3:]
 
 
 class TestSeriesIdentities:
+    ONE = [F(1), F(0), F(0), F(0), F(0), F(0)]  # the series of 1 at order 5
+
     def test_pythagorean_sin_cos_exact(self):
-        y = rational([0, 1, F(-1, 3), F(2, 7), 0, F(5, 11)])
-        f, g = batch_transform(SinCosKernel(F(1), Mode.RATIONAL), y)
-        lhs = cauchy_product(f, f)
-        rhs = cauchy_product(g, g)
-        total = Series([a + b for a, b in zip(lhs.coeffs, rhs.coeffs)], Mode.RATIONAL)
-        assert total == monomial(0, y.order)
+        y = [F(0), F(1), F(-1, 3), F(2, 7), F(0), F(5, 11)]
+        f, g = oracles.drive(SinCosKernel(F(1), Mode.RATIONAL), y)
+        ff, gg = oracles.conv(f, f, 5), oracles.conv(g, g, 5)
+        assert [a + b for a, b in zip(ff, gg)] == self.ONE
 
     def test_pythagorean_sinh_cosh_exact(self):
-        y = rational([0, 1, F(-1, 3), F(2, 7), 0, F(5, 11)])
-        f, g = batch_transform(SinhCoshKernel(F(1), Mode.RATIONAL), y)
-        ff = cauchy_product(f, f)
-        gg = cauchy_product(g, g)
-        total = Series([b - a for a, b in zip(ff.coeffs, gg.coeffs)], Mode.RATIONAL)
-        assert total == monomial(0, y.order)
+        y = [F(0), F(1), F(-1, 3), F(2, 7), F(0), F(5, 11)]
+        f, g = oracles.drive(SinhCoshKernel(F(1), Mode.RATIONAL), y)
+        ff, gg = oracles.conv(f, f, 5), oracles.conv(g, g, 5)
+        assert [b - a for a, b in zip(ff, gg)] == self.ONE
 
     def test_pythagorean_float(self):
-        y = floating([0.4, 1.1, -0.3, 0.27, 0.0, 0.51])
-        f, g = batch_transform(SinCosKernel(1.0, Mode.FLOAT), y)
-        ff, gg = cauchy_product(f, f), cauchy_product(g, g)
-        expected = monomial(0, y.order, Mode.FLOAT)
-        for a, b, e in zip(ff.coeffs, gg.coeffs, expected.coeffs):
+        y = [0.4, 1.1, -0.3, 0.27, 0.0, 0.51]
+        f, g = oracles.drive(SinCosKernel(1.0, Mode.FLOAT), y)
+        ff, gg = oracles.conv(f, f, 5), oracles.conv(g, g, 5)
+        for a, b, e in zip(ff, gg, self.ONE):
             assert abs(a + b - e) <= 1e-10
 
     def test_exp_log_round_trip(self):
         # exp(ln(1+y)) re-expands 1+y when the log output is fed back in
-        y = rational([0, F(1, 2), F(-1, 3), F(1, 5), F(2, 7), F(-1, 9)])
-        log_series = batch_transform(LogKernel(F(1), F(1), Mode.RATIONAL), y)
-        back = batch_transform(ExpKernel(F(1), Mode.RATIONAL), log_series)
-        one_plus_y = [F(1) + y[0]] + list(y.coeffs[1:])
-        for a, b in zip(back.coeffs, one_plus_y):
-            assert relclose(a, b, 1e-10)
-            assert a == b  # rational mode is in fact exact here
+        y = [F(0), F(1, 2), F(-1, 3), F(1, 5), F(2, 7), F(-1, 9)]
+        log_series = oracles.drive(LogKernel(F(1), F(1), Mode.RATIONAL), y)
+        back = oracles.drive(ExpKernel(F(1), Mode.RATIONAL), log_series)
+        assert back == [F(1) + y[0]] + y[1:]  # exact in rational mode
 
 
 KERNEL_CASES = [
@@ -306,12 +288,10 @@ def test_kernels_match_composition_oracle_exact(kind, params):
         # keep the seed where rational arithmetic stays exact
         coeffs[0] = F(rng.randint(1, 4)) if kind == "power" else F(0)
         kernel, component = make_kernel(kind, params, Mode.RATIONAL)
-        got = batch_transform(kernel, rational(coeffs))
+        got = oracles.drive(kernel, coeffs)
         if component is not None:
             got = got[component]
-        kk = {"sin": "sin", "cos": "cos", "sinh": "sinh", "cosh": "cosh"}.get(kind, kind)
-        expected = oracles.compose_fn(kk, params, coeffs, 6)
-        assert list(got.coeffs) == expected
+        assert got == oracles.compose_fn(kind, params, coeffs, 6)
 
 
 @pytest.mark.parametrize("kind,params", KERNEL_CASES)
@@ -322,10 +302,50 @@ def test_kernels_match_composition_oracle_float(kind, params):
         coeffs[0] = rng.uniform(0.5, 2.0)  # safe for power and log seeds
         fparams = {k: float(v) for k, v in params.items()}
         kernel, component = make_kernel(kind, fparams, Mode.FLOAT)
-        got = batch_transform(kernel, floating(coeffs))
+        got = oracles.drive(kernel, coeffs)
         if component is not None:
             got = got[component]
         expected = oracles.compose_fn(kind, fparams, coeffs, 6)
         scale = max(abs(v) for v in expected)
-        for a, b in zip(got.coeffs, expected):
+        for a, b in zip(got, expected):
             assert relclose(a, b, 1e-10) or abs(a - b) <= 1e-13 * scale
+
+
+_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+_alpha = _coeff.filter(bool)
+_fractional = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(
+    lambda m: m.denominator > 1
+)
+
+
+def _exact_seed(kind, draw):
+    """(kernel kind, params, Y(0)) at a seed where the kernel stays exact:
+    Y(0) = 1 under a fractional power, Y(0) > 0 under a negative integer
+    one, ln's argument 1 at Y(0), and Y(0) = 0 for the exponential and the
+    circular and hyperbolic pairs."""
+    y0 = draw(_coeff)
+    if kind == "power_int":
+        m = F(draw(st.integers(-3, 6)))
+        return "power", {"m": m}, 1 - y0 if m < 0 and y0 <= 0 else y0
+    if kind == "power_frac":
+        return "power", {"m": draw(_fractional)}, F(1)
+    if kind == "log":
+        alpha = draw(_alpha)
+        return "log", {"alpha": alpha, "beta": 1 - alpha * y0}, y0
+    return kind, {"alpha": draw(_alpha)}, F(0)
+
+
+@pytest.mark.parametrize(
+    "kind", ["power_int", "power_frac", "exp", "log", "sin", "cos", "sinh", "cosh"]
+)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), tail=st.lists(_coeff, max_size=8))
+def test_kernels_match_composition_oracle_property(kind, data, tail):
+    # a random rational prefix behind an exact seed: equal to the oracle exactly
+    name, params, y0 = _exact_seed(kind, data.draw)
+    y = [y0] + tail
+    kernel, component = make_kernel(name, params, Mode.RATIONAL)
+    got = oracles.drive(kernel, y)
+    if component is not None:
+        got = got[component]
+    assert got == oracles.compose_fn(name, params, y, len(tail))

@@ -10,17 +10,12 @@ from emdenseries import (
     ModeMismatchError,
     OrderMismatchError,
     Series,
-    add_scaled,
-    cauchy_product,
-    derivative_transform,
     evaluate,
-    monomial,
-    multi_product,
 )
 from emdenseries.series import RationalList, as_list, coerce, dot, guarded_sum, mode_of
 
 import oracles
-from conftest import rational, floating, relclose
+from conftest import rational, floating
 
 
 class TestConstruction:
@@ -48,14 +43,14 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             s.coeffs = (F(3),)
 
-    def test_pad_and_truncate(self):
+    def test_pad(self):
         s = rational([1, 2])
         assert s.pad(4).coeffs == (F(1), F(2), F(0), F(0), F(0))
-        assert s.pad(4).truncate(1) == s
-        with pytest.raises(OrderMismatchError):
+        assert s.pad(1) == s
+        assert floating([1, 2]).pad(3).coeffs == (1.0, 2.0, 0.0, 0.0)
+        with pytest.raises(OrderMismatchError) as info:
             s.pad(0)
-        with pytest.raises(OrderMismatchError):
-            s.truncate(5)
+        assert str(info.value) == "cannot pad order 1 down to 0: pad only extends"
 
     def test_mode_of(self):
         assert mode_of(F(1, 2)) is Mode.RATIONAL
@@ -71,167 +66,6 @@ class TestConstruction:
         assert coerce(F(1, 3), Mode.FLOAT) == pytest.approx(1 / 3)
         with pytest.raises(ModeMismatchError):
             coerce(0.5, Mode.RATIONAL)
-
-
-class TestAddScaled:
-    def test_additive_identity(self):
-        assert add_scaled(1, rational([1, 2]), 1, rational([0, 0])) == rational([1, 2])
-
-    def test_direct_arithmetic(self):
-        got = add_scaled(2, rational([1, 0, 3]), -1, rational([1, 1, 1]))
-        assert got == rational([1, -1, 5])
-
-    def test_fraction_coefficients(self):
-        got = add_scaled(1, rational([0, F(-1, 6)]), 1, rational([1, 0]))
-        assert got == rational([1, F(-1, 6)])
-
-    def test_order_mismatch(self):
-        with pytest.raises(OrderMismatchError):
-            add_scaled(1, rational([1, 2]), 1, rational([1]))
-
-    def test_mode_mismatch(self):
-        with pytest.raises(ModeMismatchError):
-            add_scaled(1, rational([1, 2]), 1, floating([1, 2]))
-        with pytest.raises(ModeMismatchError):
-            add_scaled(0.5, rational([1, 2]), 1, rational([1, 2]))
-
-
-class TestDerivativeTransform:
-    def test_monomial_derivative(self):
-        assert derivative_transform(rational([0, 0, 1]), 1) == rational([0, 2])
-
-    def test_second_derivative_of_exp_prefix(self):
-        got = derivative_transform(rational([1, 1, F(1, 2), F(1, 6)]), 2)
-        assert got == rational([1, 1])
-
-    def test_cubic_collapses_to_factorial(self):
-        assert derivative_transform(rational([0, 0, 0, 1]), 3) == rational([6])
-
-    def test_too_many_derivatives(self):
-        with pytest.raises(OrderMismatchError):
-            derivative_transform(rational([1, 2]), 2)
-
-    def test_count_must_be_positive(self):
-        with pytest.raises(ValueError):
-            derivative_transform(rational([1, 2]), 0)
-
-    def test_matches_scaled_monomial(self):
-        for n in range(1, 6):
-            lhs = derivative_transform(monomial(n, 6), 1)
-            rhs = add_scaled(n, monomial(n - 1, 5), 0, monomial(0, 5))
-            assert lhs == rhs
-
-
-class TestCauchyProduct:
-    def test_multiplicative_identity(self):
-        assert cauchy_product(rational([1, 1]), rational([1, 0])) == rational([1, 1])
-
-    def test_binomial_square(self):
-        got = cauchy_product(rational([1, 1, 0]), rational([1, 1, 0]))
-        assert got == rational([1, 2, 1])
-
-    def test_x_squared(self):
-        got = cauchy_product(rational([0, 1, 0]), rational([0, 1, 0]))
-        assert got == rational([0, 0, 1])
-
-    def test_truncation_drops_high_terms(self):
-        got = cauchy_product(rational([1, 1]), rational([1, 1]))
-        assert got == rational([1, 2])  # the x^2 term is beyond the order
-
-    def test_identity_element(self):
-        rng = random.Random(7)
-        s = rational([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)])
-        e = monomial(0, 5)
-        assert cauchy_product(s, e) == s
-        assert cauchy_product(e, s) == s
-
-    def test_commutative_exact(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            g = rational([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5)])
-            h = rational([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5)])
-            assert cauchy_product(g, h) == cauchy_product(h, g)
-
-    def test_associative_exact(self):
-        rng = random.Random(13)
-        for _ in range(25):
-            f, g, h = (
-                rational([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5)])
-                for _ in range(3)
-            )
-            assert cauchy_product(cauchy_product(f, g), h) == cauchy_product(
-                f, cauchy_product(g, h)
-            )
-
-    def test_commutative_float_within_tolerance(self):
-        rng = random.Random(17)
-        for _ in range(25):
-            g = floating([rng.uniform(-2, 2) for _ in range(6)])
-            h = floating([rng.uniform(-2, 2) for _ in range(6)])
-            gh, hg = cauchy_product(g, h), cauchy_product(h, g)
-            assert all(relclose(a, b, 1e-12) for a, b in zip(gh.coeffs, hg.coeffs))
-
-
-class TestMultiProduct:
-    def test_single_factor(self):
-        assert multi_product([rational([1, 1])]) == rational([1, 1])
-
-    def test_binomial_cube(self):
-        ones = rational([1, 1, 0, 0])
-        assert multi_product([ones, ones, ones]) == rational([1, 3, 3, 1])
-
-    def test_x_cubed(self):
-        x = rational([0, 1, 0, 0])
-        assert multi_product([x, x, x]) == rational([0, 0, 0, 1])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            multi_product([])
-
-    def test_equals_nested_sum_formula(self):
-        # three-factor product written as the explicit double sum
-        rng = random.Random(19)
-        fs = [
-            rational([F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(5)])
-            for _ in range(3)
-        ]
-        got = multi_product(fs)
-        for k in range(5):
-            expected = sum(
-                fs[0][k1] * fs[1][k2 - k1] * fs[2][k - k2]
-                for k2 in range(k + 1)
-                for k1 in range(k2 + 1)
-            )
-            assert got[k] == expected
-
-    def test_left_fold_equivalence(self):
-        rng = random.Random(23)
-        fs = [
-            rational([F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(4)])
-            for _ in range(4)
-        ]
-        acc = fs[0]
-        for f in fs[1:]:
-            acc = cauchy_product(acc, f)
-        assert multi_product(fs) == acc
-
-
-class TestMonomial:
-    def test_constant_one(self):
-        assert monomial(0, 2) == rational([1, 0, 0])
-
-    def test_plain_x(self):
-        assert monomial(1, 3) == rational([0, 1, 0, 0])
-
-    def test_top_degree(self):
-        assert monomial(3, 3) == rational([0, 0, 0, 1])
-
-    def test_degree_beyond_order(self):
-        with pytest.raises(OrderMismatchError):
-            monomial(4, 3)
-
-    def test_float_mode(self):
-        assert monomial(1, 2, Mode.FLOAT) == floating([0, 1, 0])
 
 
 class TestEvaluate:

@@ -245,6 +245,27 @@ class TestRkTrajectory:
         per_call = rk_trajectory(problem, NONZERO_GRID)
         assert list(map(repr, once)) == list(map(repr, per_call))
 
+    @pytest.mark.parametrize("pid", EVERY_PRESET, ids=_preset_label)
+    def test_starts_from_the_series_and_its_derivative(self, pid, monkeypatch):
+        # (y, y') at x_start against sum Y(k) x^k and sum k Y(k) x^(k-1),
+        # summed exactly over the float coefficients
+        starts = []
+        integrate = validation._integrate
+
+        def spy(f, x0, y, dy, x1, tol):
+            starts.append((x0, y, dy))
+            return integrate(f, x0, y, dy, x1, tol)
+
+        monkeypatch.setattr(validation, "_integrate", spy)
+        problem = build_preset(pid, 20, Mode.FLOAT)
+        rk_trajectory(problem, [0.5])
+        x0, y, dy = starts[0]
+        coeffs, x = [F(c) for c in solve(problem).series.coeffs], F(x0)
+        exact_y = sum(c * x**k for k, c in enumerate(coeffs))
+        exact_dy = sum(k * c * x ** (k - 1) for k, c in enumerate(coeffs) if k)
+        assert x0 == 1e-3
+        assert relclose(y, float(exact_y), 1e-14) and relclose(dy, float(exact_dy), 1e-14)
+
     def test_fractional_exponent_error_prints_exactly(self):
         # converted once, yet the domain error of y^m still prints y^(3/2)
         problem = build_preset(PresetId("lane_emden", m=F(3, 2)), 20, Mode.FLOAT)
