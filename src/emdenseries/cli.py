@@ -9,14 +9,14 @@ Four subcommands::
                          [--range LO:HI:STEP] [--tol T]
     emdenseries presets
 
-Exit codes: 0 success; 1 usage, parse, or validation failure, a NaN or
-negative --tol included, or a rational value (a grid point too) that eval
-or compare cannot convert to a float; 2 an oracle failed: the integrator
-left g's domain or its step underflowed, or a closed form was outside its
-domain; 3 a comparison exceeded --tol.  Tables go to stdout (CSV:
-comma-separated, LF line endings, header row first); messages go to
-stderr.  Identical invocations produce byte-identical output: rationals
-as p/q, floats with 17 digits.
+Exit codes: 0 success, --help included; 1 usage, parse, or validation
+failure, a NaN or negative --tol included, or a rational value (a grid
+point too) that eval or compare cannot convert to a float; 2 an oracle
+failed: the integrator left g's domain or its step underflowed, or a
+closed form was outside its domain; 3 a comparison exceeded --tol.
+Tables go to stdout (CSV: comma-separated, LF line endings, header row
+first); messages go to stderr.  Identical invocations produce
+byte-identical output: rationals as p/q, floats with 17 digits.
 """
 
 from __future__ import annotations
@@ -60,10 +60,18 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """argparse printed --help and asked to exit with status ``args[0]``."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits on its own; route everything through our exit codes
     def error(self, message):
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):
+        # only --help gets here (no message); main returns instead of exiting
+        raise _Exit(status)
 
 
 def format_value(v) -> str:
@@ -133,7 +141,11 @@ def _load_problem(args):
 
 
 def _emit(args, headers: tuple, rows):
-    """Write rows of formatted cells to stdout: CSV, or aligned text columns."""
+    """Write rows of formatted cells to stdout: CSV, or aligned text columns.
+
+    Callers pass rows as a list.  CPython 3.11 keeps every tuple built
+    from a generator in its free lists until a full collection, which
+    seldom runs once the parser is reused, so peak memory grew per job."""
     if args.format == "csv":
         fit = ",".join
     else:
@@ -146,9 +158,7 @@ def _emit(args, headers: tuple, rows):
 def cmd_solve(args) -> int:
     problem, _ = _load_problem(args)
     report = solve(problem)
-    rows = tuple(
-        (str(k), format_value(c)) for k, c in enumerate(report.series.coeffs)
-    )
+    rows = [(str(k), format_value(c)) for k, c in enumerate(report.series.coeffs)]
     _emit(args, ("k", "coefficient"), rows)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -202,10 +212,10 @@ def cmd_compare(args) -> int:
         values = dict(zip(positive, rk_trajectory(problem, positive, x_start=x_start)))
         values[0.0] = float(problem.y0)
         report = compare_pointwise(series, values.__getitem__, xs, tolerance=args.tol)
-    rows = tuple(
+    rows = [
         (format_value(r.x), format_value(r.a), format_value(r.b), format_value(r.abs_delta))
         for r in report.point_deltas
-    )
+    ]
     _emit(args, ("x", "dtm", args.against, "abs_delta"), rows)
     flagged = report.mismatched_indices(1e-9)
     if flagged:
@@ -224,7 +234,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_presets(args) -> int:
-    rows = tuple(
+    rows = [
         (
             info.name,
             f"p={info.p}",
@@ -235,7 +245,7 @@ def cmd_presets(args) -> int:
             info.exact_solution,
         )
         for info in PRESET_CATALOG
-    )
+    ]
     headers = ("preset", "p", "equation", "y(0)", "parameters", "modes", "exact solution")
     _emit(args, headers, rows)
     return EXIT_OK
@@ -289,13 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first main call; parse_args keeps no state on it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _Exit as exc:
+        return exc.args[0]
     try:
         return args.func(args)
     except (_UsageError, ParseError, OracleUnavailableError, FloatRangeError) as exc:

@@ -233,10 +233,12 @@ def _compile_scalar(e: GExpr, values: list) -> Callable[[float], float]:
             return out
         return fold
     if isinstance(e, Power):
-        (m,) = values
+        # the closure holds the exponent, not e: e holds the closure, and a
+        # cycle would leave every solved problem's g to the cyclic collector
+        (m,), exponent = values, e.exponent
         def power(y):
             if y < 0 and not m.is_integer():
-                raise kernels.KernelDomainError(f"y^({e.exponent}) at negative y = {y}")
+                raise kernels.KernelDomainError(f"y^({exponent}) at negative y = {y}")
             return float(y) ** m
         return power
     cls, i = e.kernel

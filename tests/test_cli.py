@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -5,8 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from emdenseries import Mode, Series, evaluate
+from emdenseries import Mode, Series, cli, evaluate
 from emdenseries.cli import main
+from test_golden import CASES
 
 
 def run_cli(capsys, *argv):
@@ -465,3 +467,52 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "lane_emden" in proc.stdout
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_returns_0(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: emdenseries")
+        assert "--help" in out and err == ""
+
+    def test_golden_case_after_help(self, capsys):
+        run_cli(capsys, "--help")
+        run_cli(capsys, "solve", "--help")
+        _, argv, code, out_sha, err_sha = CASES[0]
+        got = run_cli(capsys, *argv.split())
+        assert got[0] == code
+        assert hashlib.sha256(got[1].encode()).hexdigest() == out_sha
+        assert hashlib.sha256(got[2].encode()).hexdigest() == err_sha
+
+
+# golden cases mixed with error paths and the list-valued --param
+REUSE_SEQUENCE = [c[1].split() for c in CASES[:3]] + [
+    "eval --preset lane_emden --param m=3 --param m=5 --order 8 --at 1/2 --mode rational".split(),
+    "eval --preset lane_emden --param m=3 --order 8 --at 1/2 --mode rational".split(),
+    "solve --preset isothermal --order 6 --mode exact".split(),
+    "solve --preset isothermal --order 6 --bogus".split(),
+    [],
+    ["--help"],
+    "compare --preset example6 --order 12 --against numeric --range 0:1:1/4".split(),
+    "solve --preset isothermal --order 6".split(),
+]
+
+
+def test_parser_built_once_and_reused_without_state(monkeypatch, capsys):
+    # each argv with a parser of its own, then all of them through one parser
+    expected = []
+    for argv in REUSE_SEQUENCE:
+        monkeypatch.setattr(cli, "_parser", None)
+        expected.append(run_cli(capsys, *argv))
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    forward = [run_cli(capsys, *argv) for argv in REUSE_SEQUENCE]
+    backward = [run_cli(capsys, *argv) for argv in reversed(REUSE_SEQUENCE)][::-1]
+    assert forward == expected
+    assert backward == expected
+    assert len(builds) == 1
+    assert [e[0] for e in expected] == [0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0]

@@ -1,6 +1,8 @@
+import gc
 import math
 import pickle
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -316,6 +318,19 @@ class TestScalarEvaluation:
         value = evaluate_scalar(e, 0.7)
         again = pickle.loads(pickle.dumps(e))
         assert again == e and evaluate_scalar(again, 0.7) == value
+
+    def test_compiled_tree_is_freed_without_the_cyclic_collector(self):
+        # a closure that held its own node would make a cycle per solved problem
+        nodes = [Power(F(3, 2)), Exp(F(1)), Sinh(F(2)), Log(F(1), F(1)), Const(F(2))]
+        e = Sum((Scale(F(2), Var()), Product(tuple(nodes))))
+        evaluate_scalar(e, 0.5)
+        refs = [weakref.ref(n) for n in (e, *nodes)]
+        gc.disable()
+        try:
+            del e, nodes
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
     def test_sum_adds_left_to_right(self):
         # as ExprState does; a compensated sum would give 1.0
