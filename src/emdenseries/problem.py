@@ -19,7 +19,7 @@ as exact benchmarks).
 Each preset is one :class:`PresetInfo` row of :data:`PRESET_CATALOG`,
 which holds everything known about it: the columns ``presets`` lists,
 p and y(0), the parameter it takes, how it builds (a, g), its closed
-form and its quoted-series fixture.  :func:`build_preset`,
+form and the series the literature quotes for it.  :func:`build_preset`,
 :class:`PresetId`, the oracles in :mod:`emdenseries.validation` and the
 CLI only look rows up, so adding a preset means adding one row.
 """
@@ -122,9 +122,6 @@ class EmdenProblem(Record):
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:/\d+(?:\.\d+)?)?)|(?P<name>[A-Za-z_]+)|(?P<op>[-+*^()/]))"
 )
-_TOKEN_RE_PLAIN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_]+)|(?P<op>[-+*^()/]))"
-)
 
 
 class _Token(Record):
@@ -133,18 +130,16 @@ class _Token(Record):
     column: int  # 1-based
 
 
-def _tokenize(text: str, glue_fractions: bool = True):
+def _tokenize(text: str):
     """Token stream for the small grammars.
 
-    With ``glue_fractions`` a literal like ``3/2`` becomes one numeric
-    token (the nonlinearity grammar has no division operator); without
-    it, ``/`` always stays a separate operator.
+    A literal like ``3/2`` becomes one numeric token: the nonlinearity
+    grammar has no division operator.
     """
-    regex = _TOKEN_RE if glue_fractions else _TOKEN_RE_PLAIN
     tokens = []
     pos = 0
     while pos < len(text):
-        m = regex.match(text, pos)
+        m = _TOKEN_RE.match(text, pos)
         if m is None:
             rest = text[pos:].lstrip()
             if not rest:
@@ -171,8 +166,8 @@ def _parse_number_token(tok: _Token) -> Fraction:
 class _Cursor:
     """Token cursor shared by the small recursive-descent grammars."""
 
-    def __init__(self, text: str, glue_fractions: bool = True):
-        self.tokens = _tokenize(text, glue_fractions)
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -547,6 +542,9 @@ _LANE_EMDEN_EXACT = {
     5: lambda x: (1.0 + x * x / 3.0) ** -0.5,
 }
 
+# the constants the quoted reference series are written in
+_E, _S, _C = math.e, math.sin(1), math.cos(1)
+
 
 class PresetInfo(Record):
     """One catalog entry: the seven columns ``presets`` lists, then what
@@ -564,7 +562,7 @@ class PresetInfo(Record):
     param: str | None = None  # the PresetId field the preset takes
     closed_form: Callable | None = None  # (PresetId, x) -> y(x)
     closed_form_params: tuple | None = None  # values of param it covers; None: all
-    reference: str | None = None  # quoted-series fixture file
+    reference: tuple | None = None  # quoted series: (k, Y(k)) pairs, floats
 
 
 PRESET_CATALOG = (
@@ -578,15 +576,61 @@ PRESET_CATALOG = (
     ),
     PresetInfo(
         "isothermal", 2, "y'' + (2/x)y' + e^y = 0", 0, "-", "rational, float", "-",
-        build=lambda _: (1, Exp(Fraction(1))), reference="isothermal.txt",
+        build=lambda _: (1, Exp(Fraction(1))),
+        # Reference series as quoted in the decomposition/homotopy literature
+        # (Liao 2003, Ramos, Wazwaz).
+        #
+        # Note: the exact rational recurrence gives -629/224532000 at x^10, not
+        # the -4087/1796256000 quoted below.  The quoted value is kept verbatim
+        # so a comparison surfaces the difference instead of hiding it.
+        reference=(
+            (2, -1/6),
+            (4, 1/120),
+            (6, -1/1890),
+            (8, 61/1632960),
+            (10, -4087/1796256000),
+        ),
     ),
     PresetInfo(
         "sinh_case", 2, "y'' + (2/x)y' + sinh(y) = 0", 1, "-", "float", "-",
-        build=lambda _: (1, Sinh(Fraction(1))), reference="sinh_case.txt",
+        build=lambda _: (1, Sinh(Fraction(1))),
+        # Reference series as quoted from Wazwaz's Adomian-decomposition solution.
+        #
+        # Note: the quoted x^2 coefficient is -(e^2+1)/(12*e) = -cosh(1)/6, but the
+        # recurrence (and the quoted x^4 term, which equals sinh(1)cosh(1)/120)
+        # give -(e^2-1)/(12*e) = -sinh(1)/6.  The quoted x^6 and x^8 terms carry
+        # the same kind of interior sign flips (exact expansion gives
+        # -(2e^6-3e^4+3e^2-2)/(30240e^3) and (61e^8-104e^6+104e^2-61)/(26127360e^4));
+        # the x^4 and x^10 terms are exact.  All quoted values are kept verbatim so
+        # a comparison flags the differences instead of hiding them.
+        reference=(
+            (0, 1),
+            (2, -(_E**2+1)/(12*_E)),
+            (4, (_E**4-1)/(480*_E**2)),
+            (6, -(2*_E**6+3*_E**4+3*_E**2+2)/(30240*_E**3)),
+            (8, (61*_E**8+104*_E**6-104*_E**2-61)/(26127360*_E**4)),
+            (10, -(629*_E**10-1319*_E**8+902*_E**6-902*_E**4+1319*_E**2-629)/(7185024000*_E**5)),
+        ),
     ),
     PresetInfo(
         "sin_case", 2, "y'' + (2/x)y' + sin(y) = 0", 1, "-", "float", "-",
-        build=lambda _: (1, Sin(Fraction(1))), reference="sin_case.txt",
+        build=lambda _: (1, Sin(Fraction(1))),
+        # Reference series as quoted from Wazwaz's Adomian-decomposition solution,
+        # written in terms of k1 = sin(1) = _S and k2 = cos(1) = _C.
+        #
+        # Note: the x^10 term circulates with the denominator 8988128000 under
+        # k1^2*k2^2; that value is a misprint (an inserted digit).  An exact
+        # expansion of the solution gives 898128000, which also makes the term
+        # consistent with the other two x^10 denominators; the corrected value is
+        # stored here.
+        reference=(
+            (0, 1),
+            (2, -_S/6),
+            (4, _S*_C/120),
+            (6, _S*(_S**2/3024 - _C**2/5040)),
+            (8, _S*_C*(-113*_S**2/3265920 + _C**2/362880)),
+            (10, _S*(1781*_S**2*_C**2/898128000 - _C**4/39916800 - 19*_S**4/23950080)),
+        ),
     ),
     PresetInfo(
         "example5", 5, "y'' + (5/x)y' + 8a(e^y + 2e^(y/2)) = 0", 0, "a != 0",

@@ -3,11 +3,12 @@ off-origin integrator, and series comparison.
 
 Three of the catalog problems have closed-form solutions and three have
 series solutions quoted from the decomposition/homotopy literature
-(Wazwaz 2001; Liao 2003).  Those quoted coefficients are stored verbatim
-in small fixture files as exact symbolic strings and evaluated on load;
-where a quoted value disagrees with what the recurrence provably gives,
-the fixture keeps the quoted value so that :func:`compare` surfaces the
-difference instead of hiding it.  Known cases:
+(Wazwaz 2001; Liao 2003).  Those quoted coefficients are kept verbatim
+in the catalog rows of :mod:`emdenseries.problem`, each the float of the
+quoted expression; where a quoted value disagrees with what the
+recurrence provably gives, the row keeps the quoted value so that
+:func:`compare` surfaces the difference instead of hiding it.  Known
+cases:
 
 * isothermal, x^10: quoted -4087/1796256000 vs exact -629/224532000;
 * sinh case, x^2, x^6 and x^8: quoted -(e^2+1)/(12e) where the
@@ -21,22 +22,12 @@ seeding error is O(x_start^(N+1)) and far below the step tolerance.
 
 from __future__ import annotations
 
-import math
-import operator
-import os
 from collections.abc import Callable, Sequence
 from functools import partial
 
 from .expr import evaluate_scalar
 from .kernels import KernelDomainError
-from .problem import (
-    PRESET_CATALOG,
-    EmdenProblem,
-    ParseError,
-    PresetId,
-    _Cursor,
-    _preset_info,
-)
+from .problem import PRESET_CATALOG, EmdenProblem, PresetId, _preset_info
 from .series import Mode, Record, Series, as_float, evaluate
 from .solver import solve
 
@@ -85,149 +76,21 @@ def has_exact_solution(pid: PresetId) -> bool:
 
 # --- quoted reference series ------------------------------------------------
 
-class _ConstParser(_Cursor):
-    """Arithmetic over literal constants for the fixture files.
-
-    Grammar: + - * / ^ with the usual precedence, parentheses, unary
-    minus, the constants e and pi, and the functions sin, cos, exp, ln,
-    sinh, cosh, sqrt.  Everything evaluates to a float.
-    """
-
-    CONSTANTS = {"e": math.e, "pi": math.pi}
-    FUNCTIONS = {
-        "sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log,
-        "sinh": math.sinh, "cosh": math.cosh, "sqrt": math.sqrt,
-    }
-
-    def __init__(self, text: str):
-        super().__init__(text, glue_fractions=False)
-
-    def parse(self) -> float:
-        return self.finish(self.expr())
-
-    def expr(self) -> float:
-        return self.chain("+-", self.term)
-
-    def term(self) -> float:
-        return self.chain("*/", self.factor)
-
-    def chain(self, ops: str, operand) -> float:
-        """``operand (op operand)*`` over the operators in ``ops``, left to right."""
-        value = operand()
-        while True:
-            tok = self.peek()
-            if not self.accept(ops):
-                return value
-            value = _real(tok, _BINARY[tok.text], value, operand())
-
-    def factor(self) -> float:
-        if self.accept("-"):
-            return -self.factor()
-        return self.base()
-
-    def base(self) -> float:
-        value = self.atom()
-        tok = self.peek()
-        if self.accept("^"):
-            value = _real(tok, _BINARY["^"], value, self.factor())
-        return value
-
-    def atom(self) -> float:
-        tok = self.peek()
-        if self.accept("("):
-            value = self.expr()
-            self.expect_op(")")
-            return value
-        if tok.kind == "num":
-            value = float(tok.text)
-            if math.isinf(value):
-                self.fail("number out of range")
-            self.take()
-            return value
-        if tok.kind != "name":
-            self.unexpected()
-        self.take()
-        if tok.text in self.CONSTANTS:
-            return self.CONSTANTS[tok.text]
-        if tok.text not in self.FUNCTIONS:
-            self.fail(f"unknown constant {tok.text!r}")
-        if not self.accept("("):
-            self.fail(f"expected '(' after {tok.text}")
-        value = self.expr()
-        self.expect_op(")")
-        return _real(tok, self.FUNCTIONS[tok.text], value)
-
-
-_BINARY = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "/": operator.truediv, "^": operator.pow,
-}
-
-
-def _real(tok, fn, *args) -> float:
-    """``fn(*args)`` if it is a finite real number; otherwise a ParseError
-    at ``tok``, the operator or function name that computes it."""
-    try:
-        value = fn(*args)
-    except (ArithmeticError, ValueError):  # x/0, 0^-1, overflow, math domain error
-        value = math.nan
-    if isinstance(value, float) and math.isfinite(value):
-        return value
-    shown = [f"({v:g})" if v < 0 else f"{v:g}" for v in args]
-    what = tok.text.join(shown) if tok.kind == "op" else f"{tok.text}({args[0]:g})"
-    raise ParseError(f"{what} is not a finite real number", column=tok.column)
-
-
-def evaluate_constant(text: str) -> float:
-    """Float value of a symbolic constant string like ``(e^4-1)/(480*e^2)``."""
-    return _ConstParser(text).parse()
-
-
-_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-
-
 def reference_series(pid: PresetId) -> Series:
     """The quoted literature series for a preset, as a float-mode Series.
 
-    Coefficients are stored as exact symbolic strings in fixture files
-    shipped with the package and evaluated in double precision on load.
+    Each coefficient is the float of the quoted expression, as written
+    in the preset's catalog row.
     """
-    fname = _preset_info(pid.name).reference
-    if fname is None:
+    quoted = _preset_info(pid.name).reference
+    if quoted is None:
         available = sorted(info.name for info in PRESET_CATALOG if info.reference)
         raise OracleUnavailableError(
             f"no reference series for preset {pid.name!r} "
             f"(available: {', '.join(available)})"
         )
-    try:
-        with open(os.path.join(_FIXTURES, fname), encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:  # e.g. a build that left out the fixtures directory
-        raise OracleUnavailableError(f"cannot read fixture {exc.filename}: {exc.strerror}") from None
-    order = None
-    entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ParseError(f"fixture {fname}: expected 'k: expression'", line=lineno)
-        key = key.strip()
-        if key == "order":
-            order = int(value)
-            continue
-        k = int(key)
-        try:
-            entries[k] = evaluate_constant(value.strip())
-        except ParseError as exc:
-            start = raw.index(":") + 1 + len(value) - len(value.lstrip())
-            raise ParseError(
-                f"fixture {fname}: {exc.message}", line=lineno, column=start + exc.column
-            ) from None
-    if order is None:
-        raise ParseError(f"fixture {fname} lacks an order line")
-    return Series([entries.get(k, 0.0) for k in range(order + 1)], Mode.FLOAT)
+    coeffs = dict(quoted)
+    return Series([coeffs.get(k, 0) for k in range(max(coeffs) + 1)], Mode.FLOAT)
 
 
 # --- off-origin numeric integration ----------------------------------------

@@ -291,6 +291,9 @@ class TestValidation:
     def test_report_renders(self):
         report = validate_expr(Log(F(1), F(0)), F(0), Mode.RATIONAL)
         assert "ln(y)" in str(report)
+        assert str(validate_expr(Exp(F(1)), F(0), Mode.RATIONAL)) == "expression valid"
+        report = validate_expr(Exp(F(1)), 0.5, Mode.RATIONAL)  # a float y(0)
+        assert str(report) == "y(0): float value 0.5 in rational mode; convert explicitly"
 
 
 class TestScalarEvaluation:

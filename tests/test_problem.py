@@ -29,7 +29,7 @@ from emdenseries import (
 )
 from emdenseries.cli import main
 from emdenseries.problem import PRESET_CATALOG
-from emdenseries.validation import evaluate_constant, has_exact_solution, reference_series
+from emdenseries.validation import has_exact_solution, reference_series
 
 
 class TestParseExpression:
@@ -54,6 +54,7 @@ class TestParseExpression:
         assert parse_expression("18 * y+4*y * ln( y )") == parse_expression(
             "18*y + 4*y*ln(y)"
         )
+        assert parse_expression("y ") == Var()
 
     def test_numbers(self):
         assert parse_expression("3/2*y") == Scale(F(3, 2), Var())
@@ -164,30 +165,19 @@ PARSE_ERRORS = [
     (parse_polynomial, "2/0*x", "column 1: zero denominator"),
     (parse_number, "-+1", "column 2: not a number: '-+1'"),
     (parse_number, "1/0", "column 1: zero denominator"),
-    (evaluate_constant, "sin(1", "column 6: expected ')'"),
-    (evaluate_constant, "frob(1)", "column 5: unknown constant 'frob'"),
-    (evaluate_constant, "sqrt 2", "column 6: expected '(' after sqrt"),
-    (evaluate_constant, "(1+2", "column 5: expected ')'"),
-    (evaluate_constant, "1 2", "column 3: unexpected '2'"),
-    (evaluate_constant, "2/", "column 3: unexpected end of input"),
-    (evaluate_constant, "-", "column 2: unexpected end of input"),
-    (evaluate_constant, "q", "column 2: unknown constant 'q'"),
-    (evaluate_constant, "3 $", "column 3: unexpected character '$'"),
 ]
 
-# Arithmetic that yields no finite real number is reported at the operator
-# or function name that computes it.
+# The remaining error branches of the nonlinearity and problem-file readers.
+_EQUATION = "[equation]\np = 2\ng = y^2\n[initial]\ny0 = 1\n"
 PARSE_ERRORS += [
-    (evaluate_constant, "2/0", "column 2: 2/0 is not a finite real number"),
-    (evaluate_constant, "ln(0)", "column 1: ln(0) is not a finite real number"),
-    (evaluate_constant, "1 + sqrt(-1)", "column 5: sqrt(-1) is not a finite real number"),
-    (evaluate_constant, "10^400", "column 3: 10^400 is not a finite real number"),
-    (evaluate_constant, "exp(1000)", "column 1: exp(1000) is not a finite real number"),
-    (evaluate_constant, "(-1)^0.5", "column 5: (-1)^0.5 is not a finite real number"),
-    (evaluate_constant, "0^-1", "column 2: 0^(-1) is not a finite real number"),
-    (evaluate_constant, "10^200*10^200",
-     "column 7: 1e+200*1e+200 is not a finite real number"),
-    (evaluate_constant, "1" + "0" * 400, "column 1: number out of range"),
+    (parse_expression, "2*/y", "column 3: division is only allowed inside numeric literals"),
+    (parse_problem_file, "[equation\n", "line 1: unterminated section header"),
+    (parse_problem_file, "p = 2\n", "line 1: key outside any [section]"),
+    (parse_problem_file, "[equation]\np 2\n", "line 2: expected key = value"),
+    (parse_problem_file, "[solve]\nmode = fast\norder = 6\n" + _EQUATION,
+     "line 2: mode must be 'rational' or 'float', got 'fast'"),
+    (parse_problem_file, "[solve]\norder = ten\nmode = float\n" + _EQUATION,
+     "line 2: order must be an integer, got 'ten'"),
 ]
 
 
@@ -340,6 +330,9 @@ class TestEmdenProblem:
             EmdenProblem(**{**ok, "f_poly": Series([1] * 9, Mode.RATIONAL)})
         with pytest.raises(ValueError):
             EmdenProblem(**{**ok, "f_poly": Series([1.0], Mode.FLOAT)})
+        with pytest.raises(TypeError) as err:
+            EmdenProblem(**{**ok, "g": "y^2"})
+        assert str(err.value) == "g must be an expression tree, got 'y^2'"
 
 
 class TestPresets:
@@ -413,5 +406,6 @@ def test_catalog_row_agrees_with_the_problem_it_builds(info):
         problem = build_preset(pid, 6, mode)
         assert problem.p == info.p and problem.y0 == info.y0
     assert (info.exact_solution != "-") == has_exact_solution(pid)
+    assert hash(info) == hash(info) and info == info
     if info.reference is not None:
         assert reference_series(pid).coeffs[0] == info.y0

@@ -223,6 +223,9 @@ class TestResiduals:
         series = solve(build_preset(PresetId("isothermal"), 6, Mode.RATIONAL)).series
         with pytest.raises(ValueError):
             residual_series(problem, series)
+        with pytest.raises(ValueError) as err:
+            residual_series(problem, Series([0.0] * 11, Mode.FLOAT))
+        assert str(err.value) == "candidate is float, problem is rational"
 
     def test_float_residual_shrinks_with_order(self):
         wide = build_preset(PresetId("isothermal"), 14, Mode.FLOAT)

@@ -11,7 +11,6 @@ from emdenseries import (
     Log,
     Mode,
     OracleUnavailableError,
-    ParseError,
     Power,
     PresetId,
     Scale,
@@ -29,10 +28,10 @@ from emdenseries import (
     solve,
 )
 from emdenseries import cli, solver, validation
+from emdenseries.problem import PRESET_CATALOG
 from emdenseries.validation import (
     DEFAULT_SAMPLE_GRID,
     StepSizeUnderflowError,
-    evaluate_constant,
     has_exact_solution,
 )
 
@@ -74,31 +73,40 @@ class TestExactSolutions:
             exact_solution(PresetId(name, a=10**400), 0.5)
 
 
-class TestConstantEvaluator:
-    def test_arithmetic(self):
-        assert evaluate_constant("61/1632960") == pytest.approx(61 / 1632960)
-        assert evaluate_constant("-(e^2+1)/(12*e)") == pytest.approx(
-            -(math.e**2 + 1) / (12 * math.e)
-        )
-        assert evaluate_constant("sin(1)*cos(1)/120") == pytest.approx(
-            math.sin(1) * math.cos(1) / 120
-        )
-        assert evaluate_constant("2^-1") == 0.5
-        assert evaluate_constant("sqrt(4) + pi*0") == 2.0
-
-    def test_power_binds_tighter_than_division(self):
-        assert evaluate_constant("sin(1)^2/3024") == pytest.approx(
-            math.sin(1) ** 2 / 3024
-        )
-
-    def test_errors(self):
-        with pytest.raises(ParseError):
-            evaluate_constant("frob(1)")
-        with pytest.raises(ParseError):
-            evaluate_constant("1 +")
+_E = math.e
+# The values the notes on the catalog rows give for the quoted terms that
+# the recurrence does not reproduce.
+_CORRECTED = {
+    ("isothermal", 10): -629 / 224532000,
+    ("sinh_case", 2): -(_E**2 - 1) / (12 * _E),
+    ("sinh_case", 6): -(2 * _E**6 - 3 * _E**4 + 3 * _E**2 - 2) / (30240 * _E**3),
+    ("sinh_case", 8): (61 * _E**8 - 104 * _E**6 + 104 * _E**2 - 61) / (26127360 * _E**4),
+}
+_QUOTED = [(info.name, k) for info in PRESET_CATALOG if info.reference for k, _ in info.reference]
 
 
 class TestReferenceSeries:
+    @pytest.mark.parametrize("name,k", _QUOTED, ids=[f"{n}-x^{k}" for n, k in _QUOTED])
+    def test_quoted_value_against_the_recurrence(self, name, k):
+        mode = Mode.RATIONAL if name == "isothermal" else Mode.FLOAT
+        dtm = solve(build_preset(PresetId(name), 10, mode)).series.to_float()
+        quoted = reference_series(PresetId(name))[k]
+        if (name, k) in _CORRECTED:
+            assert dtm[k] == pytest.approx(_CORRECTED[name, k], rel=1e-12)
+            assert quoted != pytest.approx(dtm[k], rel=1e-9)
+        else:
+            assert quoted == pytest.approx(dtm[k], rel=1e-12)
+
+    @pytest.mark.parametrize("info", [i for i in PRESET_CATALOG if i.reference],
+                             ids=lambda info: info.name)
+    def test_layout(self, info):
+        ks = [k for k, _ in info.reference]
+        assert ks == sorted(set(ks)) and all(k % 2 == 0 for k in ks)
+        ref = reference_series(PresetId(info.name))
+        assert ref.mode is Mode.FLOAT and ref.order == ks[-1]
+        assert all(ref[k] == 0 for k in range(ref.order + 1) if k not in ks)
+        assert all(isinstance(c, float) for c in ref.coeffs)
+
     def test_isothermal_tail_coefficient(self):
         ref = reference_series(PresetId("isothermal"))
         assert ref.order == 10 and ref.mode is Mode.FLOAT
@@ -113,31 +121,12 @@ class TestReferenceSeries:
         assert ref[4] == pytest.approx(math.sin(1) * math.cos(1) / 120, rel=1e-15)
 
     def test_unavailable(self):
-        with pytest.raises(OracleUnavailableError):
-            reference_series(PresetId("lane_emden", m=1))
-
-    def test_fixture_fault_names_file_and_line(self, tmp_path, monkeypatch):
-        (tmp_path / "fixtures").mkdir()
-        (tmp_path / "fixtures" / "isothermal.txt").write_text("order: 4\n2: -1/6\n4:  ln(0)/7\n")
-        monkeypatch.setattr(validation, "_FIXTURES", str(tmp_path / "fixtures"))
-        with pytest.raises(ParseError) as err:
-            reference_series(PresetId("isothermal"))
-        assert str(err.value) == (
-            "line 3, column 5: fixture isothermal.txt: ln(0) is not a finite real number"
-        )
-
-    def test_missing_fixture_is_one_error_line(self, tmp_path, capsys, monkeypatch):
-        # a build of the package without its fixtures directory
-        missing = tmp_path / "fixtures"
-        monkeypatch.setattr(validation, "_FIXTURES", str(missing))
         with pytest.raises(OracleUnavailableError) as err:
-            reference_series(PresetId("isothermal"))
-        path = str(missing / "isothermal.txt")
-        assert str(err.value) == f"cannot read fixture {path}: No such file or directory"
-        code = cli.main(["compare", "--preset", "isothermal", "--order", "12", "--against", "reference"])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert captured.err == f"error: cannot read fixture {path}: No such file or directory\n"
+            reference_series(PresetId("lane_emden", m=1))
+        assert str(err.value) == (
+            "no reference series for preset 'lane_emden' "
+            "(available: isothermal, sin_case, sinh_case)"
+        )
 
 
 class TestRkOracle:
