@@ -20,7 +20,7 @@ from emdenseries import (
     evaluate,
     exact_solution,
     residual_series,
-    rk_oracle,
+    rk_trajectory,
     solve,
 )
 
@@ -43,8 +43,9 @@ for name, m in (("lane_emden", 5), ("isothermal", None), ("example6", None)):
     pid = PresetId(name, m=m) if m is not None else (
         PresetId(name, a=1) if name == "example6" else PresetId(name))
     prob = build_preset(pid, 10, Mode.RATIONAL)
-    dtm = evaluate(solve(prob).series.to_float(), 0.5)
-    rk = rk_oracle(prob, 0.5, x_start=1e-3, tol=1e-10)
+    series = solve(prob).series
+    dtm = evaluate(series.to_float(), 0.5)
+    (rk,) = rk_trajectory(prob, series, [0.5], tol=1e-10)
     print(f"  {name:<11} dtm = {dtm: .12f}   rk = {rk: .12f}   |diff| = {abs(dtm - rk):.2e}")
 
 # Convergence at x = 0.5 as the order grows, against the closed form.

@@ -80,7 +80,6 @@ from .validation import (
     compare_pointwise,
     exact_solution,
     reference_series,
-    rk_oracle,
     rk_trajectory,
 )
 
@@ -99,7 +98,6 @@ __all__ = [
     "parse_number", "parse_polynomial", "parse_problem_file",
     "SolveReport", "residual_series", "solve",
     "ComparisonReport", "OracleUnavailableError", "compare",
-    "compare_pointwise", "exact_solution", "reference_series", "rk_oracle",
-    "rk_trajectory",
+    "compare_pointwise", "exact_solution", "reference_series", "rk_trajectory",
     "__version__",
 ]

@@ -14,9 +14,10 @@ failure, a NaN or negative --tol included, or a rational value (a grid
 point too) that eval or compare cannot convert to a float; 2 an oracle
 failed: the integrator left g's domain or its step underflowed, or a
 closed form was outside its domain; 3 a comparison exceeded --tol.
-Tables go to stdout (CSV: comma-separated, LF line endings, header row
-first); messages go to stderr.  Identical invocations produce
-byte-identical output: rationals as p/q, floats with 17 digits.
+Tables go to stdout (CSV: comma-separated and RFC 4180 quoted, LF line
+endings, header row first); messages go to stderr.  Identical
+invocations produce byte-identical output: rationals as p/q, floats
+with 17 digits.
 """
 
 from __future__ import annotations
@@ -147,7 +148,9 @@ def _emit(args, headers: tuple, rows):
     from a generator in its free lists until a full collection, which
     seldom runs once the parser is reused, so peak memory grew per job."""
     if args.format == "csv":
-        fit = ",".join
+        def fit(cells):  # RFC 4180: a cell holding , or " is quoted, its quotes doubled
+            return ",".join('"%s"' % c.replace('"', '""') if "," in c or '"' in c else c
+                            for c in cells)
     else:
         widths = [max(map(len, column)) for column in zip(headers, *rows)]
         def fit(cells):
@@ -206,11 +209,7 @@ def cmd_compare(args) -> int:
     elif args.against == "exact":
         report = compare_pointwise(series, partial(exact_solution, pid), xs, tolerance=args.tol)
     else:
-        # one integration through the grid, started below its smallest nonzero point
-        positive = [x for x in xs if x > 0]
-        x_start = min(1e-3, min(positive, default=1.0) / 2)
-        values = dict(zip(positive, rk_trajectory(problem, positive, x_start=x_start)))
-        values[0.0] = float(problem.y0)
+        values = dict(zip(xs, rk_trajectory(problem, series, xs)))
         report = compare_pointwise(series, values.__getitem__, xs, tolerance=args.tol)
     rows = [
         (format_value(r.x), format_value(r.a), format_value(r.b), format_value(r.abs_delta))

@@ -411,14 +411,14 @@ def parse_problem_file(
 
     Sections ``[equation]`` (keys p, a, f, g), ``[initial]`` (y0, dy0)
     and ``[solve]`` (order, mode); ``#`` starts a comment; a, f and dy0
-    may be omitted (defaults 1, 1, 0).  Accepts bytes (UTF-8) or str.
-    ``order`` and ``mode``, when given, replace the file's own; the
-    values are still exact here, so a float file can be solved in
-    rational mode.
+    may be omitted (defaults 1, 1, 0).  Accepts bytes (UTF-8, a leading
+    byte-order mark allowed) or str.  ``order`` and ``mode``, when
+    given, replace the file's own; the values are still exact here, so
+    a float file can be solved in rational mode.
     """
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8")
+            text = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParseError(f"problem file is not UTF-8: {exc}") from None
     else:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from .expr import ExprState
 from .problem import EmdenProblem
-from .series import Record, Series, as_list, guarded_sum, zero
+from .series import OrderMismatchError, Record, Series, as_list, guarded_sum, zero
 
 
 class SolveReport(Record):
@@ -134,7 +134,7 @@ def residual_series(problem: EmdenProblem, series: Series) -> Series:
     be zero.
     """
     if series.order != problem.order:
-        raise ValueError(
+        raise OrderMismatchError(
             f"candidate order {series.order} != problem order {problem.order}; pad first"
         )
     if series.mode is not problem.mode:

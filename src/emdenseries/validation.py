@@ -16,8 +16,9 @@ cases:
   and interior sign slips of the same kind at x^6 and x^8.
 
 The integrator is a Dormand-Prince 5(4) embedded pair started a little
-off the singular origin, seeded from the series solution there; its
-seeding error is O(x_start^(N+1)) and far below the step tolerance.
+off the singular origin, seeded from the series it is checking, so a
+comparison solves once; the seeding error is O(x_start^(N+1)) and far
+below the step tolerance.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from functools import partial
 from .expr import evaluate_scalar
 from .kernels import KernelDomainError
 from .problem import PRESET_CATALOG, EmdenProblem, PresetId, _preset_info
-from .series import Mode, Record, Series, as_float, evaluate
-from .solver import solve
+from .series import Mode, OrderMismatchError, Record, Series, as_float, evaluate
 
 
 class OracleUnavailableError(ValueError):
@@ -64,14 +64,6 @@ def exact_solution(pid: PresetId, x) -> float:
     A point outside the solution's domain raises a ValueError.
     """
     return _closed_form(pid)(pid, float(x))
-
-
-def has_exact_solution(pid: PresetId) -> bool:
-    try:
-        _closed_form(pid)
-    except OracleUnavailableError:
-        return False
-    return True
 
 
 # --- quoted reference series ------------------------------------------------
@@ -156,29 +148,25 @@ def _integrate(f, x0, y, dy, x1, tol):
     return y, dy
 
 
-def rk_trajectory(
-    problem: EmdenProblem, xs: Sequence, x_start: float = 1e-3, tol: float = 1e-10
-) -> list:
+def rk_trajectory(problem: EmdenProblem, series: Series, xs: Sequence, tol: float = 1e-10) -> list:
     """Integrate the problem once from just off the origin and return
     y at each point of ``xs``, in the order given.
 
     The equation is singular at x = 0, so integration starts at
-    ``x_start > 0`` with (y, y') read off the series solution there,
-    then runs through the sorted, de-duplicated points, each stretch of
-    x integrated once.  Every point must be >= ``x_start``.  This is an
-    independent check on the series in the only sense available: the
-    trajectory is produced by step-wise quadrature, not by the
-    coefficient recurrence that built the series.
+    x_start = min(1e-3, half the smallest positive point), or 1e-3 when
+    no point is positive, with (y, y') read off ``series`` there, then
+    runs through the sorted, de-duplicated points, each stretch of x
+    integrated once; x = 0 gives the problem's y(0) and a negative point
+    raises ValueError.  This is an independent check on the series in
+    the only sense available: the trajectory is produced by step-wise
+    quadrature, not by the coefficient recurrence that built the series.
     """
     targets = [float(x) for x in xs]
-    if x_start <= 0:
-        raise ValueError(f"x_start must be positive, got {x_start}")
-    lowest = min(targets, default=x_start)
-    if lowest < x_start:
-        raise ValueError(f"x_target {lowest} must be >= x_start {x_start}")
+    if min(targets, default=0.0) < 0:
+        raise ValueError(f"x_target {min(targets)} must be >= 0")
+    x_start = min(1e-3, min((x for x in targets if x > 0), default=1.0) / 2)
     g = problem.g
-    series = solve(problem).series.to_float()
-    reached = x_start
+    series = series.to_float()
     # y'(x) = sum k Y(k) x^(k-1)
     dy = Series([k * c for k, c in enumerate(series.coeffs)][1:], Mode.FLOAT)
     state = (evaluate(series, x_start), evaluate(dy, x_start))
@@ -192,19 +180,17 @@ def rk_trajectory(
             raise KernelDomainError(f"g(y) overflows at y = {yv} (x = {x})") from None
         return (dyv, -(p / x) * dyv - a * evaluate(f_poly, x) * gv)
 
-    values = {}
-    for xt in sorted(set(targets)):
-        if xt > reached:
-            state = _integrate(rhs, reached, *state, xt, tol)
-            reached = xt
-        values[xt] = state[0]
+    reached, values = x_start, {0.0: float(problem.y0)}
+    for xt in sorted(set(targets) - {0.0}):
+        state = _integrate(rhs, reached, *state, xt, tol)
+        reached, values[xt] = xt, state[0]
     return [values[xt] for xt in targets]
 
 
-def rk_oracle(problem: EmdenProblem, x_target, x_start: float = 1e-3, tol: float = 1e-10) -> float:
-    """y(x_target) from :func:`rk_trajectory`, integrating from ``x_start``
-    (> 0, at most ``x_target``) with local error tolerance ``tol``."""
-    return rk_trajectory(problem, [x_target], x_start, tol)[0]
+# Only for bench/spans.py, which will not install without it (ROADMAP item 1).
+# Not an alias: the tracer rebinds every name bound to the object it wraps.
+def rk_oracle(problem: EmdenProblem, series: Series, x_target, tol: float = 1e-10) -> float:
+    return rk_trajectory(problem, series, [x_target], tol)[0]
 
 
 # --- comparison -------------------------------------------------------------
@@ -297,7 +283,7 @@ def compare(
     curves); pass an empty sequence for coefficients only.
     """
     if series_a.order != series_b.order:
-        raise ValueError(
+        raise OrderMismatchError(
             f"orders differ ({series_a.order} vs {series_b.order}); pad the shorter one"
         )
     both_rational = series_a.mode is Mode.RATIONAL and series_b.mode is Mode.RATIONAL

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from emdenseries import Mode, Series
+from emdenseries import Mode, OracleUnavailableError, Series
+from emdenseries.validation import _closed_form
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -14,6 +15,15 @@ def rational(values):
 
 def floating(values):
     return Series([float(v) for v in values], Mode.FLOAT)
+
+
+def has_closed_form(pid):
+    """Whether ``exact_solution`` has a closed form for the preset."""
+    try:
+        _closed_form(pid)
+    except OracleUnavailableError:
+        return False
+    return True
 
 
 def relclose(a, b, rel=1e-12):

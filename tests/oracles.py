@@ -6,8 +6,8 @@ combined with explicit polynomial powers, plain binomial series, a
 direct second-order coefficient recurrence, g(y) by a walk of the tree,
 and the generic n-component Dormand-Prince integrator.  Convolutions are
 written out locally so these helpers share no code path with the series
-module; only the integrator's driver solves and evaluates f and y at the
-start point through the library, as the code under test does.
+module; only the integrator's driver evaluates f, and y at the start
+point, through the library, as the code under test does.
 :func:`drive` is not an oracle: it runs a kernel under test over a whole
 coefficient list.
 """
@@ -25,7 +25,6 @@ from emdenseries import (
     Sum,
     Var,
     evaluate,
-    solve,
 )
 from emdenseries.validation import StepSizeUnderflowError
 
@@ -317,12 +316,14 @@ def _integrate(f, x0, y0, x1, tol):
     return y
 
 
-def generic_trajectory(problem, xs, x_start=1e-3, tol=1e-10):
-    """rk_trajectory through the integrator above: y at each of ``xs``,
-    with f(x) from series.evaluate and g(y) from :func:`float_per_call`."""
+def generic_trajectory(problem, series, xs, tol=1e-10):
+    """rk_trajectory through the integrator above: y at each of ``xs``
+    (all positive) from the same seed series and the same start, with
+    f(x) from series.evaluate and g(y) from :func:`float_per_call`."""
     targets = [float(x) for x in xs]
+    x_start = min(1e-3, min(targets) / 2)
     g = problem.g
-    series = solve(problem).series.to_float()
+    series = series.to_float()
     reached = x_start
     # y'(x_start) = sum k Y(k) x_start^(k-1), by Horner from the top term
     c = series.coeffs

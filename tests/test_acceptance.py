@@ -24,7 +24,7 @@ from emdenseries import (
     evaluate,
     reference_series,
     residual_series,
-    rk_oracle,
+    rk_trajectory,
     solve,
 )
 from emdenseries.cli import main
@@ -269,7 +269,7 @@ def test_criterion_12_cross_method_check():
         for order, gaps in ((10, gaps10), (20, gaps20)):
             problem = build_preset(pid, order, mode)
             series = solve(problem).series
-            rk = rk_oracle(problem, 0.5, x_start=1e-3, tol=1e-10)
+            (rk,) = rk_trajectory(problem, series, [0.5], tol=1e-10)
             gaps[label] = evaluate(series.to_float(), 0.5) - rk
             coeffs[order] = series.coeffs
         if coeffs[10] != coeffs[20][:11]:

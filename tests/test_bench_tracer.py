@@ -54,7 +54,7 @@ def test_tracer_installs_and_its_checks_pass(capsys):
     metrics = tracer.layer_metrics(0)  # raises TraceMismatch if a check fails
     for kind in spans.KERNEL_KINDS.values():
         assert metrics[f"kernels.{kind}_calls"] > 0, kind
-    assert metrics["solver.solve_calls"] == len(JOBS) + 1  # compare solves twice
+    assert metrics["solver.solve_calls"] == len(JOBS)  # compare solves once too
     assert metrics["problem.load_calls"] == len(JOBS)  # presets and --file alike
     assert metrics["expr.kernel_calls"] > 0
     assert metrics["series.guarded_sum_calls"] > 0

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import math
 import subprocess
 import sys
@@ -458,6 +460,20 @@ class TestPresets:
         assert "example5" in out and "p=5" in out
         lines = out.strip().split("\n")
         assert len(lines) == 7  # header + six presets
+
+
+@pytest.mark.parametrize("argv", [
+    "presets",
+    "solve --preset example6 --order 8",
+    "eval --preset lane_emden --param m=5 --order 8 --mode rational --range 0:1:1/4",
+    "compare --preset example6 --order 12 --against numeric --range 0:1:1/4",
+], ids=["presets", "solve", "eval", "compare"])
+def test_csv_rows_are_as_wide_as_the_header(capsys, argv):
+    # presets has the cell "rational, float", which must be quoted
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out, newline=""))
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
 def test_module_entry_point():

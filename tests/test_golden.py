@@ -82,7 +82,7 @@ CASES = [
     ('presets_text', 'presets',
      0, 'e3dc7755cfb8a00b5d8795a31ee8ac4f851199f84e69e26cfdfe5af2af9aaf12', EMPTY),
     ('presets_csv', 'presets --format csv',
-     0, 'e10c0bab497aba05bb6e63ef882fd91358f59d7978568c0b4ffb685235e1d214', EMPTY),
+     0, '030d36962c36183ae32b33f48d84cd40e3448d5ed9c8d0d08e6abfaa082e14fa', EMPTY),
     ('exact_lane_emden_m0', 'compare --preset lane_emden --param m=0 --order 16 --against exact',
      0, '0473c91e8fa287e0c926a2b60d6a10d35ebf2cbc110a461a6de8c0e589432353', EMPTY),
     ('exact_lane_emden_m1', 'compare --preset lane_emden --param m=1 --order 16 --against exact',

@@ -29,7 +29,9 @@ from emdenseries import (
 )
 from emdenseries.cli import main
 from emdenseries.problem import PRESET_CATALOG
-from emdenseries.validation import has_exact_solution, reference_series
+from emdenseries.validation import reference_series
+
+from conftest import has_closed_form
 
 
 class TestParseExpression:
@@ -230,6 +232,19 @@ class TestParseProblemFile:
             parsed = parse_problem_file((problems_dir / fname).read_bytes())
             assert parsed == build_preset(pid, order, mode), fname
 
+    def test_byte_order_mark_is_skipped(self, problems_dir, tmp_path, capsys):
+        # Windows Notepad saves UTF-8 with a leading U+FEFF
+        plain = problems_dir / "isothermal.efp"
+        marked = tmp_path / "isothermal_bom.efp"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        parsed = parse_problem_file(marked.read_bytes())
+        assert parsed == build_preset(PresetId("isothermal"), 10, Mode.RATIONAL)
+        outputs = []
+        for path in (plain, marked):
+            assert main(["solve", "--file", str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+
     def test_missing_required_key(self):
         text = FILE_TEXT.replace("y0 = 1\n", "")
         with pytest.raises(ParseError) as err:
@@ -405,7 +420,7 @@ def test_catalog_row_agrees_with_the_problem_it_builds(info):
             continue
         problem = build_preset(pid, 6, mode)
         assert problem.p == info.p and problem.y0 == info.y0
-    assert (info.exact_solution != "-") == has_exact_solution(pid)
+    assert (info.exact_solution != "-") == has_closed_form(pid)
     assert hash(info) == hash(info) and info == info
     if info.reference is not None:
         assert reference_series(pid).coeffs[0] == info.y0

@@ -15,6 +15,7 @@ from emdenseries import (
     KernelDomainError,
     Log,
     Mode,
+    OrderMismatchError,
     Power,
     PresetId,
     ProblemValidationError,
@@ -28,6 +29,7 @@ from emdenseries import (
     build_preset,
     evaluate,
     residual_series,
+    rk_trajectory,
     solve,
 )
 from emdenseries.solver import _recurrence
@@ -147,11 +149,8 @@ class TestRecurrenceStructure:
         report = solve(problem)
         assert residual_series(problem, report.series) == Series([0] * 11, Mode.RATIONAL)
         # independent check off the origin
-        from emdenseries import rk_oracle
-
         dtm = evaluate(report.series.to_float(), 0.4)
-        rk = rk_oracle(problem, 0.4, 1e-3, 1e-10)
-        assert dtm == pytest.approx(rk, abs=1e-8)
+        assert rk_trajectory(problem, report.series, [0.4]) == [pytest.approx(dtm, abs=1e-8)]
 
     def test_report_contents(self):
         report = solve(build_preset(PresetId("isothermal"), 8, Mode.RATIONAL))
@@ -221,8 +220,9 @@ class TestResiduals:
     def test_order_mismatch_rejected(self):
         problem = build_preset(PresetId("isothermal"), 10, Mode.RATIONAL)
         series = solve(build_preset(PresetId("isothermal"), 6, Mode.RATIONAL)).series
-        with pytest.raises(ValueError):
+        with pytest.raises(OrderMismatchError) as err:
             residual_series(problem, series)
+        assert str(err.value) == "candidate order 6 != problem order 10; pad first"
         with pytest.raises(ValueError) as err:
             residual_series(problem, Series([0.0] * 11, Mode.FLOAT))
         assert str(err.value) == "candidate is float, problem is rational"

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from emdenseries import (
     Log,
     Mode,
     OracleUnavailableError,
+    OrderMismatchError,
     Power,
     PresetId,
     Scale,
@@ -23,20 +25,15 @@ from emdenseries import (
     evaluate,
     exact_solution,
     reference_series,
-    rk_oracle,
     rk_trajectory,
     solve,
 )
 from emdenseries import cli, solver, validation
 from emdenseries.problem import PRESET_CATALOG
-from emdenseries.validation import (
-    DEFAULT_SAMPLE_GRID,
-    StepSizeUnderflowError,
-    has_exact_solution,
-)
+from emdenseries.validation import DEFAULT_SAMPLE_GRID, StepSizeUnderflowError
 
 import oracles
-from conftest import floating, rational, relclose
+from conftest import floating, has_closed_form, rational, relclose
 
 
 class TestExactSolutions:
@@ -64,8 +61,8 @@ class TestExactSolutions:
             exact_solution(PresetId("example5", a=-1), 1.5)
 
     def test_availability_helper(self):
-        assert has_exact_solution(PresetId("lane_emden", m=5))
-        assert not has_exact_solution(PresetId("sin_case"))
+        assert has_closed_form(PresetId("lane_emden", m=5))
+        assert not has_closed_form(PresetId("sin_case"))
 
     @pytest.mark.parametrize("name", ["example5", "example6"])
     def test_parameter_past_the_float_range_is_named(self, name):
@@ -129,45 +126,35 @@ class TestReferenceSeries:
         )
 
 
+def _rk(problem, xs, tol=1e-10):
+    """rk_trajectory seeded from the problem's own solve."""
+    return rk_trajectory(problem, solve(problem).series, xs, tol)
+
+
 class TestRkOracle:
     def test_lane_emden_m1_hits_the_closed_form(self):
         problem = build_preset(PresetId("lane_emden", m=1), 10, Mode.RATIONAL)
-        assert rk_oracle(problem, 1.0, 1e-3, 1e-10) == pytest.approx(
-            math.sin(1.0), abs=1e-8
-        )
+        assert _rk(problem, [1.0]) == [pytest.approx(math.sin(1.0), abs=1e-8)]
 
     def test_example6_hits_the_closed_form(self):
         problem = build_preset(PresetId("example6", a=1), 10, Mode.RATIONAL)
-        assert rk_oracle(problem, 0.5, 1e-3, 1e-10) == pytest.approx(
-            math.exp(-0.25), abs=1e-8
-        )
+        assert _rk(problem, [0.5]) == [pytest.approx(math.exp(-0.25), abs=1e-8)]
 
     def test_isothermal_agrees_with_series(self):
         problem = build_preset(PresetId("isothermal"), 10, Mode.RATIONAL)
         dtm = evaluate(solve(problem).series.to_float(), 0.5)
-        assert rk_oracle(problem, 0.5, 1e-3, 1e-10) == pytest.approx(dtm, abs=1e-6)
-
-    def test_target_at_start_returns_seed(self):
-        problem = build_preset(PresetId("lane_emden", m=0), 6, Mode.RATIONAL)
-        series = solve(problem).series.to_float()
-        assert rk_oracle(problem, 1e-3) == evaluate(series, 1e-3)
-
-    def test_bad_arguments(self):
-        problem = build_preset(PresetId("lane_emden", m=0), 6, Mode.RATIONAL)
-        with pytest.raises(ValueError):
-            rk_oracle(problem, 0.5, x_start=0.0)
-        with pytest.raises(ValueError):
-            rk_oracle(problem, 1e-4, x_start=1e-3)
+        assert _rk(problem, [0.5]) == [pytest.approx(dtm, abs=1e-6)]
 
     def test_quadratic_solution_reaches_every_target(self):
         # y = 1 - x^2/6: the error estimate is exactly 0, so steps grow
         # fivefold and the last one is clipped to a rounding error
         problem = build_preset(PresetId("lane_emden", m=0), 10, Mode.RATIONAL)
         for x in (0.9, 1.3, 2.0):
-            assert rk_oracle(problem, x) == pytest.approx(1 - x * x / 6, abs=1e-12)
+            assert _rk(problem, [x]) == [pytest.approx(1 - x * x / 6, abs=1e-12)]
 
 
 NONZERO_GRID = [x for x in DEFAULT_SAMPLE_GRID if x > 0]
+DENSE_GRID = [1e-3] + [k / 100 for k in range(1, 301)]  # starts the integration at 5e-4
 EVERY_PRESET = [
     PresetId("lane_emden", m=0), PresetId("lane_emden", m=1), PresetId("lane_emden", m=5),
     PresetId("isothermal"), PresetId("sinh_case"), PresetId("sin_case"),
@@ -196,20 +183,43 @@ class TestRkTrajectory:
     @pytest.mark.parametrize("pid", EVERY_PRESET, ids=_preset_label)
     def test_matches_the_per_point_oracle(self, pid):
         problem = build_preset(pid, 20, Mode.FLOAT)
-        values = rk_trajectory(problem, NONZERO_GRID)
+        values = _rk(problem, NONZERO_GRID)
         for x, y in zip(NONZERO_GRID, values):
-            assert relclose(y, rk_oracle(problem, x), 1e-9), x
+            assert relclose(y, _rk(problem, [x])[0], 1e-9), x
 
     def test_values_follow_input_order(self):
         problem = build_preset(PresetId("example6", a=1), 20, Mode.FLOAT)
         xs = [1.5, 0.2, 2.0, 0.2, 1e-3, 1.5, 0.7] + NONZERO_GRID[::-1]
-        by_x = dict(zip(sorted(set(xs)), rk_trajectory(problem, sorted(set(xs)))))
-        assert rk_trajectory(problem, xs) == [by_x[x] for x in xs]
+        by_x = dict(zip(sorted(set(xs)), _rk(problem, sorted(set(xs)))))
+        assert _rk(problem, xs) == [by_x[x] for x in xs]
 
-    def test_rejects_a_point_below_the_start(self):
+    def test_origin_gives_y0_in_input_order(self):
+        problem = build_preset(PresetId("lane_emden", m=1), 10, Mode.RATIONAL)
+        xs = [0.5, 0.0, 1.0, 0.0]
+        y05, y1 = _rk(problem, [0.5, 1.0])
+        assert _rk(problem, xs) == [y05, 1.0, y1, 1.0]
+        assert _rk(problem, [0.0]) == [1.0]
+
+    def test_rejects_a_negative_point(self):
         problem = build_preset(PresetId("lane_emden", m=1), 10, Mode.FLOAT)
-        with pytest.raises(ValueError):
-            rk_trajectory(problem, [0.5, 1e-4])
+        with pytest.raises(ValueError, match=r"^x_target -0\.25 must be >= 0$"):
+            _rk(problem, [0.5, -0.25])
+
+    @pytest.mark.parametrize("xs, start", [
+        ([0.5], 1e-3), (DENSE_GRID, 5e-4),
+        ([0.0, 0.4], 1e-3), ([0.001, 0.0], 5e-4),
+    ], ids=["one_point", "dense", "with_origin", "origin_and_start"])
+    def test_start_is_half_the_smallest_positive_point_at_most_1e_3(self, xs, start, monkeypatch):
+        starts = []
+        integrate = validation._integrate
+
+        def spy(f, x0, y, dy, x1, tol):
+            starts.append(x0)
+            return integrate(f, x0, y, dy, x1, tol)
+
+        monkeypatch.setattr(validation, "_integrate", spy)
+        _rk(build_preset(PresetId("example6", a=1), 20, Mode.FLOAT), xs)
+        assert starts[0] == start
 
     @pytest.mark.parametrize(
         "pid", [PresetId("lane_emden", m=1), PresetId("isothermal"), PresetId("example6", a=1)],
@@ -218,20 +228,21 @@ class TestRkTrajectory:
     def test_a_grid_costs_about_one_path(self, pid, monkeypatch):
         # integrating from x_start to every point separately costs 10-14x
         problem = build_preset(pid, 20, Mode.FLOAT)
+        series = solve(problem).series
         calls = _count_rhs(monkeypatch)
-        rk_oracle(problem, 2.0)
+        rk_trajectory(problem, series, [2.0])
         straight = len(calls)
         calls.clear()
-        rk_trajectory(problem, NONZERO_GRID)
+        rk_trajectory(problem, series, NONZERO_GRID)
         assert len(calls) <= 2 * straight
 
     @pytest.mark.parametrize("pid", EVERY_PRESET, ids=_preset_label)
     def test_float_constants_change_no_bit(self, pid, monkeypatch):
         # each node converts its constants to float once
         problem = build_preset(pid, 20, Mode.FLOAT)
-        once = rk_trajectory(problem, NONZERO_GRID)
+        once = _rk(problem, NONZERO_GRID)
         monkeypatch.setattr(validation, "evaluate_scalar", oracles.float_per_call)
-        per_call = rk_trajectory(problem, NONZERO_GRID)
+        per_call = _rk(problem, NONZERO_GRID)
         assert list(map(repr, once)) == list(map(repr, per_call))
 
     @pytest.mark.parametrize("pid", EVERY_PRESET, ids=_preset_label)
@@ -247,7 +258,7 @@ class TestRkTrajectory:
 
         monkeypatch.setattr(validation, "_integrate", spy)
         problem = build_preset(pid, 20, Mode.FLOAT)
-        rk_trajectory(problem, [0.5])
+        _rk(problem, [0.5])
         x0, y, dy = starts[0]
         coeffs, x = [F(c) for c in solve(problem).series.coeffs], F(x0)
         exact_y = sum(c * x**k for k, c in enumerate(coeffs))
@@ -259,7 +270,7 @@ class TestRkTrajectory:
         # converted once, yet the domain error of y^m still prints y^(3/2)
         problem = build_preset(PresetId("lane_emden", m=F(3, 2)), 20, Mode.FLOAT)
         with pytest.raises(KernelDomainError, match=r"^y\^\(3/2\) at negative y = -"):
-            rk_trajectory(problem, [3.5, 3.75, 4.0])
+            _rk(problem, [3.5, 3.75, 4.0])
 
     def test_constant_past_the_float_range_fails_as_an_overflow(self):
         # the error names the constant, not y = 0
@@ -268,7 +279,7 @@ class TestRkTrajectory:
             g=Sum((Var(), Scale(F(10**400), Power(2)))), y0=0, dy0=0, order=6, mode=Mode.RATIONAL,
         )
         with pytest.raises(KernelDomainError, match=rf"^constant {10**400} in g\(y\) overflows a float$"):
-            rk_trajectory(problem, [0.5])
+            _rk(problem, [0.5])
 
     def test_equation_constant_past_the_float_range_is_named(self):
         # g(0) = 0 keeps every coefficient zero, so only a overflows
@@ -277,30 +288,32 @@ class TestRkTrajectory:
             order=6, mode=Mode.RATIONAL,
         )
         with pytest.raises(FloatRangeError, match=r"^equation constant a overflows a float$"):
-            rk_trajectory(problem, [0.5])
+            _rk(problem, [0.5])
 
-    def test_numeric_compare_solves_twice(self, monkeypatch, capsys):
+    def test_numeric_compare_solves_once(self, monkeypatch, capsys):
+        # the integrator seeds from the series the CLI compares
         calls = []
+        solve = solver.solve
 
         def counting(problem):
             calls.append(problem)
-            return solver.solve(problem)
+            return solve(problem)
 
-        monkeypatch.setattr(cli, "solve", counting)
-        monkeypatch.setattr(validation, "solve", counting)
+        for module in list(sys.modules.values()):
+            if module and module.__name__.startswith("emdenseries"):
+                for name, value in list(vars(module).items()):
+                    if value is solve:
+                        monkeypatch.setattr(module, name, counting)
         argv = ["compare", "--preset", "isothermal", "--order", "20", "--against", "numeric"]
         assert cli.main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 22
-        assert len(calls) == 2  # the CLI's series and the integrator's seed
-
-
-DENSE_GRID = [1e-3] + [k / 100 for k in range(1, 301)]
+        assert len(calls) == 1
 
 
 def _outcome(trajectory, problem, xs):
     """The values' reprs, or the type and message of the error raised."""
     try:
-        return list(map(repr, trajectory(problem, xs)))
+        return list(map(repr, trajectory(problem, solve(problem).series, xs)))
     except (KernelDomainError, StepSizeUnderflowError) as exc:
         return type(exc), str(exc)
 
@@ -381,8 +394,9 @@ class TestCompare:
         assert compare(a, b, grid).within_tolerance is None
 
     def test_order_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OrderMismatchError) as err:
             compare(rational([1, 0]), rational([1, 0, 0]))
+        assert str(err.value) == "orders differ (1 vs 2); pad the shorter one"
 
     def test_default_grid(self):
         assert len(DEFAULT_SAMPLE_GRID) == 21
