@@ -145,11 +145,6 @@ def walk(e: GExpr):
     yield e
 
 
-def _leaf_args(node: GExpr) -> tuple:
-    """Kernel constructor arguments of a nonlinear leaf, mode aside."""
-    return node._values()
-
-
 def format_expr(e: GExpr) -> str:
     """Canonical text form, re-parseable by the expression parser."""
 
@@ -199,7 +194,7 @@ def format_expr(e: GExpr) -> str:
         return f"y^{num(e.exponent)}"
     if isinstance(e, _Function):
         cls, i = e.kernel
-        return f"{cls.names[i]}({arg(*_leaf_args(e))})"
+        return f"{cls.names[i]}({arg(*e._values())})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -292,7 +287,7 @@ def validate_expr(e: GExpr, y0, mode: Mode) -> ValidationReport:
             if isinstance(node, (Const, Scale)):
                 coerce(node.value if isinstance(node, Const) else node.factor, mode)
             elif node.kernel is not None:
-                node.kernel[0](*_leaf_args(node), mode).advance([y0])
+                node.kernel[0](*node._values(), mode).advance([y0])
         except failures as exc:
             findings.append(Finding(label, str(exc)))
     return ValidationReport(tuple(findings))
@@ -340,7 +335,7 @@ class ExprState:
         """Append the steps that compute ``node`` and return its list."""
         if node.kernel is not None:
             cls, i = node.kernel
-            args = _leaf_args(node)
+            args = node._values()
             key = (cls, repr(args))
             if key not in kernels_by_args:
                 kernels_by_args[key] = cls(*args, self.mode)

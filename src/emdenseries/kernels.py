@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import mul, sub
 
-from .series import Mode, ModeMismatchError, as_list, coerce, dot, zero
+from .series import Mode, as_list, coerce, dot, zero
 
 
 class KernelDomainError(ValueError):
@@ -95,9 +95,11 @@ class Kernel:
     def advance(self, y_prefix):
         """Consume Y(0..k), k the number of F values so far, and return F(k).
 
-        Earlier entries of the prefix must be the same values seen on
-        previous calls; the kernel never re-reads them, so causality
-        holds by construction.
+        Earlier entries of the prefix must not change between calls,
+        because kernels read them again: Power, Exp and Log read Y(1..k)
+        on every call, and the sin/cos and sinh/cosh pairs keep r*Y(r)
+        from earlier calls.  Causality holds because F(k) reads only
+        Y(0..k).
         """
         k = len(self.f)
         check_prefix(y_prefix, k)
@@ -144,14 +146,11 @@ class PowerKernel(Kernel):
 
     def __init__(self, exponent, mode: Mode):
         super().__init__(mode)
-        if mode is Mode.RATIONAL and isinstance(exponent, float):
-            raise ModeMismatchError("float exponent in rational mode")
+        self.exponent = m = coerce(exponent, mode)
         if mode is Mode.RATIONAL:
-            self.exponent = m = Fraction(exponent)
             self._weight = (m.numerator + m.denominator, m.denominator)
             integral = m.denominator == 1
         else:
-            self.exponent = m = float(exponent)
             self._weight = (m + 1, 1)
             integral = m.is_integer()
         self._int_exponent = int(m) if integral else None

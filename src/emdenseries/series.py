@@ -74,27 +74,17 @@ class Mode(enum.Enum):
         return self.value
 
 
-def mode_of(value) -> Mode:
-    """Mode a bare scalar belongs to.  Ints count as rational."""
-    if isinstance(value, bool):
-        raise TypeError(f"not a numeric coefficient: {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return Mode.RATIONAL
-    if isinstance(value, float):
-        return Mode.FLOAT
-    raise TypeError(f"not a numeric coefficient: {value!r}")
-
-
 def coerce(value, mode: Mode) -> Number:
     """Convert ``value`` into the arithmetic type of ``mode``.
 
     Ints are exact in both modes.  Fractions convert to float when a
     float session asks for them; floats never convert to rationals
-    implicitly (write ``Fraction(x)`` yourself if you mean it).
+    implicitly (write ``Fraction(x)`` yourself if you mean it).  Anything
+    else, bools included, raises TypeError.
     """
-    if isinstance(value, bool):
-        raise TypeError(f"not a numeric coefficient: {value!r}")
-    if mode is Mode.RATIONAL:
+    if isinstance(value, bool):  # an int subclass, but not a coefficient
+        pass
+    elif mode is Mode.RATIONAL:
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
@@ -271,15 +261,6 @@ class Series(Record):
         return Series(coeffs, Mode.FLOAT)
 
 
-def _check_scalar(value, mode: Mode) -> Number:
-    if type(value) is float and mode is Mode.FLOAT:  # the integrator's f(x), at every stage
-        return value
-    got = mode_of(value)
-    if isinstance(value, int) or got is mode:
-        return coerce(value, mode)
-    raise ModeMismatchError(f"{got} scalar {value!r} with a {mode} series")
-
-
 def dot(xs, ys, start: Number, weights=None) -> Number:
     """``start + x0*y0 + x1*y1 + ...``, or with ``weights`` each term
     ``(w*x)*y``, accumulated left to right and stopping at the shortest
@@ -309,7 +290,12 @@ def evaluate(s: Series, x) -> Number:
     """Value of the truncated polynomial at ``x`` (Horner scheme); exactly, for
     x = p/q, the integer Horner acc = acc*p + L*Y(k)*q^(N-k) over L*q^N, with
     L*Y(k) the numerators of the series' RationalList over L."""
-    xv = _check_scalar(x, s.mode)
+    if type(x) is float and s.mode is Mode.FLOAT:  # the integrator's f(x), at every stage
+        xv = x
+    elif isinstance(x, Fraction) and s.mode is Mode.FLOAT:  # stricter than coerce: no rounding
+        raise ModeMismatchError(f"rational scalar {x!r} with a float series")
+    else:
+        xv = coerce(x, s.mode)
     if type(xv) is Fraction:
         p, q = xv.numerator, xv.denominator
         ys = s._list

@@ -156,14 +156,15 @@ def rk_trajectory(problem: EmdenProblem, series: Series, xs: Sequence, tol: floa
     x_start = min(1e-3, half the smallest positive point), or 1e-3 when
     no point is positive, with (y, y') read off ``series`` there, then
     runs through the sorted, de-duplicated points, each stretch of x
-    integrated once; x = 0 gives the problem's y(0) and a negative point
-    raises ValueError.  This is an independent check on the series in
+    integrated once; x = 0 gives the problem's y(0) and a negative or NaN
+    point raises ValueError.  This is an independent check on the series in
     the only sense available: the trajectory is produced by step-wise
     quadrature, not by the coefficient recurrence that built the series.
     """
     targets = [float(x) for x in xs]
-    if min(targets, default=0.0) < 0:
-        raise ValueError(f"x_target {min(targets)} must be >= 0")
+    for x in targets:
+        if not x >= 0:  # NaN fails it too
+            raise ValueError(f"x_target {x} must be >= 0")
     x_start = min(1e-3, min((x for x in targets if x > 0), default=1.0) / 2)
     g = problem.g
     series = series.to_float()

@@ -15,6 +15,7 @@ from emdenseries import (
     Cosh,
     Exp,
     ExprState,
+    GExpr,
     KernelDomainError,
     Log,
     Mode,
@@ -294,6 +295,16 @@ class TestValidation:
         assert str(validate_expr(Exp(F(1)), F(0), Mode.RATIONAL)) == "expression valid"
         report = validate_expr(Exp(F(1)), 0.5, Mode.RATIONAL)  # a float y(0)
         assert str(report) == "y(0): float value 0.5 in rational mode; convert explicitly"
+
+
+@pytest.mark.parametrize("call", [
+    format_expr,
+    lambda e: ExprState(e, Mode.RATIONAL),
+    lambda e: validate_expr(e, F(0), Mode.RATIONAL),
+], ids=["format_expr", "ExprState", "validate_expr"])
+def test_bare_base_node_is_not_an_expression(call):
+    with pytest.raises(TypeError, match=r"^not an expression node: GExpr\(\)$"):
+        call(GExpr())
 
 
 class TestScalarEvaluation:

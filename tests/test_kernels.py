@@ -95,8 +95,14 @@ class TestPowerKernel:
         assert got == [oracles.binomial(F(1, 2), j) for j in range(5)]
 
     def test_float_exponent_in_rational_mode_rejected(self):
-        with pytest.raises(ModeMismatchError):
+        with pytest.raises(ModeMismatchError, match=r"^float value 0\.5 in rational mode; convert explicitly$"):
             PowerKernel(0.5, Mode.RATIONAL)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("exponent", [True, "1/2"], ids=["bool", "str"])
+    def test_non_number_exponent_rejected(self, exponent, mode):
+        with pytest.raises(TypeError, match=r"^not a numeric coefficient: "):
+            PowerKernel(exponent, mode)
 
 
 class TestRationalPowerProperty:

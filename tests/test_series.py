@@ -12,7 +12,7 @@ from emdenseries import (
     Series,
     evaluate,
 )
-from emdenseries.series import RationalList, as_list, coerce, dot, guarded_sum, mode_of
+from emdenseries.series import RationalList, as_list, coerce, dot, guarded_sum
 
 import oracles
 from conftest import rational, floating
@@ -52,20 +52,20 @@ class TestConstruction:
             s.pad(0)
         assert str(info.value) == "cannot pad order 1 down to 0: pad only extends"
 
-    def test_mode_of(self):
-        assert mode_of(F(1, 2)) is Mode.RATIONAL
-        assert mode_of(3) is Mode.RATIONAL
-        assert mode_of(0.5) is Mode.FLOAT
-        with pytest.raises(TypeError):
-            mode_of("1")
-        with pytest.raises(TypeError):
-            mode_of(True)
-
     def test_coerce(self):
         assert coerce(3, Mode.RATIONAL) == F(3)
         assert coerce(F(1, 3), Mode.FLOAT) == pytest.approx(1 / 3)
         with pytest.raises(ModeMismatchError):
             coerce(0.5, Mode.RATIONAL)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("value", [True, "1", None], ids=["bool", "str", "none"])
+    def test_coerce_rejects_a_non_number(self, value, mode):
+        series = rational([1, 2]) if mode is Mode.RATIONAL else floating([1, 2])
+        for call in (lambda: coerce(value, mode), lambda: evaluate(series, value)):
+            with pytest.raises(TypeError) as info:
+                call()
+            assert str(info.value) == f"not a numeric coefficient: {value!r}"
 
 
 class TestEvaluate:
@@ -92,9 +92,9 @@ class TestEvaluate:
         assert s(2) == F(17)
 
     def test_mode_mismatch(self):
-        with pytest.raises(ModeMismatchError):
+        with pytest.raises(ModeMismatchError, match=r"^float value 0\.5 in rational mode; convert explicitly$"):
             evaluate(rational([1, 2]), 0.5)
-        with pytest.raises(ModeMismatchError):
+        with pytest.raises(ModeMismatchError, match=r"^rational scalar Fraction\(1, 2\) with a float series$"):
             evaluate(floating([1, 2]), F(1, 2))
 
 

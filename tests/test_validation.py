@@ -205,6 +205,13 @@ class TestRkTrajectory:
         with pytest.raises(ValueError, match=r"^x_target -0\.25 must be >= 0$"):
             _rk(problem, [0.5, -0.25])
 
+    @pytest.mark.parametrize("xs", [[math.nan], [0.5, math.nan], [math.nan, -1.0]],
+                             ids=["nan", "after_a_point", "before_a_negative"])
+    def test_rejects_a_nan_point(self, xs):
+        problem = build_preset(PresetId("example6", a=1), 20, Mode.FLOAT)
+        with pytest.raises(ValueError, match=r"^x_target nan must be >= 0$"):
+            _rk(problem, xs)
+
     @pytest.mark.parametrize("xs, start", [
         ([0.5], 1e-3), (DENSE_GRID, 5e-4),
         ([0.0, 0.4], 1e-3), ([0.001, 0.0], 5e-4),
