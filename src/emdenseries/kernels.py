@@ -8,6 +8,12 @@ for the trigonometric pairs, the partner G) against the Y prefix.  They
 follow from differentiating f(y(x)) once and transforming the resulting
 first-order identity, e.g. for f = y^m from  y f' = m f y'.
 
+Differentiating leaves a weight r on each term ((m+1) r - k for y^m),
+so each kernel keeps a list, one entry appended per index: r Y(r) (exp
+and the pairs), r F(r) (ln) or (m+1) r (y^m).  Float convolutions are
+then plain left-to-right float loops: exp and ln call :func:`series.dot`;
+y^m and the pairs (both sums in one pass) loop here.
+
 Because F(k) depends on Y(0..k) only, a solver may interleave kernel
 steps with the recurrence that produces Y itself; that causality is the
 whole point of the streaming interface.  Each kernel instance belongs to
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import repeat
-from operator import mul, sub
+from operator import sub
 
 from .series import Mode, as_list, coerce, dot, zero
 
@@ -96,9 +102,9 @@ class Kernel:
         """Consume Y(0..k), k the number of F values so far, and return F(k).
 
         Earlier entries of the prefix must not change between calls,
-        because kernels read them again: Power, Exp and Log read Y(1..k)
-        on every call, and the sin/cos and sinh/cosh pairs keep r*Y(r)
-        from earlier calls.  Causality holds because F(k) reads only
+        because kernels read them again: Power and Log read Y(1..k) on
+        every call, and Exp and the sin/cos and sinh/cosh pairs keep
+        r*Y(r) from earlier calls.  Causality holds because F(k) reads only
         Y(0..k).
         """
         k = len(self.f)
@@ -155,6 +161,7 @@ class PowerKernel(Kernel):
             integral = m.is_integer()
         self._int_exponent = int(m) if integral else None
         self._powers = None  # repeated-product fallback state
+        self._mr = []  # (m+1) r, r = 1..k; exactly, m = P/Q: (P+Q) r over Q
 
     def _step(self, k, y):
         m = self.exponent
@@ -174,10 +181,16 @@ class PowerKernel(Kernel):
             return y0**m
         if self._powers is not None:
             return self._fallback_step(k, y)
-        # weights (m+1) r - k, r = 1..k; exactly, m = P/Q: integers (P+Q) r - Q k over Q
         top, q = self._weight
-        weights = map(sub, map(mul, repeat(top), range(1, k + 1)), repeat(q * k))
-        return dot(y[1 : k + 1], reversed(self.f), zero(self.mode), weights) / (q * k * self._y0)
+        self._mr.append(top * k)
+        if self.mode is Mode.RATIONAL:  # integer weights (P+Q) r - Q k over Q
+            weights = map(sub, self._mr, repeat(q * k))
+            acc = dot(y[1 : k + 1], reversed(self.f), zero(self.mode), weights)
+        else:  # weights (m+1) r - k
+            acc = 0.0
+            for t, x, f in zip(self._mr, y[1:], reversed(self.f)):
+                acc += (t - k) * x * f
+        return acc / (q * k * self._y0)
 
     def _fallback_step(self, k, y):
         mi = self._int_exponent
@@ -203,13 +216,14 @@ class ExpKernel(Kernel):
     def __init__(self, alpha, mode: Mode):
         super().__init__(mode)
         self.alpha = coerce(alpha, mode)
+        self._dy = as_list(mode)  # r Y(r), r = 1..k
 
     def _step(self, k, y):
         if k == 0:
             s = self.alpha * coerce(y[0], self.mode)
             return self._seed(s, 0, "alpha*Y(0) == 0")[0]
-        acc = dot(y[1 : k + 1], reversed(self.f), zero(self.mode), range(1, k + 1))
-        return self.alpha * acc / k
+        self._dy.append(k * y[k])
+        return self.alpha * dot(self._dy, reversed(self.f), zero(self.mode)) / k
 
 
 class LogKernel(Kernel):
@@ -229,6 +243,7 @@ class LogKernel(Kernel):
         self.alpha = coerce(alpha, mode)
         self.beta = coerce(beta, mode)
         self._d = None
+        self._df = as_list(mode)  # r F(r), r = 1..k-1
 
     def _step(self, k, y):
         if k == 0:
@@ -239,8 +254,10 @@ class LogKernel(Kernel):
                 )
             self._d = d
             return self._seed(d, 1, "alpha*Y(0)+beta == 1")[0]
-        acc = dot(self.f[1:], y[k - 1 : 0 : -1], zero(self.mode), range(1, k))
-        return self.alpha * (y[k] - acc / k) / self._d
+        acc = dot(self._df, y[k - 1 : 0 : -1], zero(self.mode))
+        fv = self.alpha * (y[k] - acc / k) / self._d
+        self._df.append(k * fv)
+        return fv
 
 
 class _CircularKernel(Kernel):
@@ -270,9 +287,16 @@ class _CircularKernel(Kernel):
             fv, gv = self._seed(s, 0, "alpha*Y(0) == 0")
         else:
             self._dy.append(k * y[k])
-            w = self._dy[::-1]  # (k-r) Y(k-r), r = 0..k-1
-            fv = self.alpha * dot(w, self.g, zero(self.mode)) / k
-            gv = self._sign * self.alpha * dot(w, self.f, zero(self.mode)) / k
+            w = reversed(self._dy)  # (k-r) Y(k-r), r = 0..k-1
+            if self.mode is Mode.RATIONAL:
+                fs, gs = dot(w, self.g, zero(self.mode)), dot(w, self.f, zero(self.mode))
+            else:  # both sums in one pass
+                fs = gs = 0.0
+                for d, fr, gr in zip(w, self.f, self.g):
+                    fs += d * gr
+                    gs += d * fr
+            fv = self.alpha * fs / k
+            gv = self._sign * self.alpha * gs / k
         self.g.append(gv)
         return fv, gv
 

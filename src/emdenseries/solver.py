@@ -74,7 +74,7 @@ def _step(state: ExprState, g: list, y, k: int, support, stride=1, on_warn=None)
         (c * g[(k - r) // stride] for r, c in support if r <= k),
         zero(state.mode),
         on_warn,
-        f"recurrence step k={k}",
+        lambda: f"recurrence step k={k}",
     )
 
 

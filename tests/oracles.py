@@ -52,6 +52,62 @@ def fraction_dot(xs, ys, start, weights=None):
     return Fraction(start) + sum((Fraction(w) * x * y for w, (x, y) in zip(ws, pairs)), Fraction(0))
 
 
+def weighted_dot(xs, ys, start, weights=None):
+    """start + (w*x)*y + ... (x*y without weights), left to right."""
+    acc = start
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        acc += x * y if weights is None else weights[i] * x * y
+    return acc
+
+
+def weighted_kernel(kind, params, ys):
+    """F(0..n) of a kernel over ``ys`` (the pair (F, G) for "sincos" and
+    "sinhcosh") by the recurrences in the kernels' docstrings, each
+    convolution a :func:`weighted_dot` over Y or F with the weights r, or
+    (m+1) r - k for y^m, formed per term.  The kernels fold those weights
+    into lists they keep; in float mode they must match this bit for bit.
+    "power" is float only: y^m by repeated products where the kernel takes
+    them (integer m >= 0 at Y(0) == 0, or m <= 1), else the recurrence."""
+    exact = isinstance(ys[0], Fraction)
+    zero, n, y0 = (Fraction(0) if exact else 0.0), len(ys), ys[0]
+    f = []
+    if kind == "power":
+        m = float(params["m"])
+        if m.is_integer() and m >= 0 and (y0 == 0 or m <= 1):
+            power = list(ys)
+            for j in range(2, int(m) + 1):
+                power = [y0**j] + [weighted_dot(power[: k + 1], ys[k::-1], 0.0) for k in range(1, n)]
+            return power if m else [y0**0] + [0.0] * (n - 1)
+        f = [y0 ** m]
+        for k in range(1, n):
+            weights = [(m + 1) * r - k for r in range(1, k + 1)]
+            f.append(weighted_dot(ys[1 : k + 1], f[::-1], 0.0, weights) / (k * y0))
+    elif kind == "exp":
+        alpha = params["alpha"]
+        f = [Fraction(1) if exact else math.exp(alpha * y0)]
+        for k in range(1, n):
+            f.append(alpha * weighted_dot(ys[1 : k + 1], f[::-1], zero, range(1, k + 1)) / k)
+    elif kind == "log":
+        alpha = params["alpha"]
+        d = alpha * y0 + params["beta"]
+        f = [Fraction(0) if exact else math.log(d)]
+        for k in range(1, n):
+            acc = weighted_dot(f[1:], ys[k - 1 : 0 : -1], zero, range(1, k))
+            f.append(alpha * (ys[k] - acc / k) / d)
+    else:  # the sin/cos or sinh/cosh pair, float
+        alpha, sign = params["alpha"], -1 if kind == "sincos" else 1
+        fns = (math.sin, math.cos) if kind == "sincos" else (math.sinh, math.cosh)
+        f, g, dy = [fns[0](alpha * y0)], [fns[1](alpha * y0)], []
+        for k in range(1, n):
+            dy.append(k * ys[k])
+            w = dy[::-1]
+            fk = alpha * weighted_dot(w, g, 0.0) / k
+            g.append(sign * alpha * weighted_dot(w, f, 0.0) / k)
+            f.append(fk)
+        return f, g
+    return f
+
+
 def compose(outer, y, order):
     """Coefficients of sum_j outer[j] * (y - y0)^j, truncated.
 

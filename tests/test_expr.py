@@ -435,3 +435,43 @@ class TestTreeProperties:
                 return type(exc), str(exc)
 
         assert outcome(evaluate_scalar) == outcome(oracles.float_per_call)
+
+
+class TestFloatSumsAndWarnings:
+    """Float Sum and Product steps add left to right from 0.0, and name a
+    cancelled index in x-space (k times the stride) in their warnings."""
+
+    # terms 1e16, 1.0, -1e16 at every index while Y(k) = 1
+    SUM = Sum((Scale(1e16, Var()), Var(), Scale(-1e16, Var())))
+    # at Y = (1, 1, 1e16): terms 1e16, 1.0, -1e16 at index 2
+    PRODUCT = Product((Var(), Sum((Var(), Const(-2.0)))))
+
+    @staticmethod
+    def _run(e, y, stride=1):
+        messages = []
+        state = ExprState(e, Mode.FLOAT, on_warn=messages.append, _stride=stride)
+        return [state.advance(y[: k + 1]) for k in range(len(y))], messages
+
+    def test_sum_adds_left_to_right(self):
+        got, _ = self._run(self.SUM, [1.0] * 3)
+        assert got == [0.0] * 3 and all(math.copysign(1.0, v) == 1.0 for v in got)
+
+    def test_product_adds_left_to_right(self):
+        got, _ = self._run(self.PRODUCT, [1.0, 1.0, 1e16])
+        assert got[2] == 0.0 and math.copysign(1.0, got[2]) == 1.0
+
+    def test_warnings_name_x_space_indices(self):
+        _, messages = self._run(self.SUM, [1.0] * 3, stride=2)
+        assert messages == [
+            f"sum at index {n}: cancellation ratio inf (largest term 1.000e+16)" for n in (0, 2, 4)
+        ]
+        _, messages = self._run(self.PRODUCT, [1.0, 1.0, 1e16], stride=2)
+        assert messages == [
+            "product convolution at index 2: cancellation ratio inf (largest term 1.000e+00)",
+            "product convolution at index 4: cancellation ratio inf (largest term 1.000e+16)",
+        ]
+
+    def test_benign_tree_warns_nothing(self):
+        e = Sum((Var(), Exp(0.5), Product((Var(), Cosh(0.25), Var()))))
+        _, messages = self._run(e, [0.5 ** k for k in range(12)], stride=2)
+        assert messages == []

@@ -355,3 +355,77 @@ def test_kernels_match_composition_oracle_property(kind, data, tail):
     if component is not None:
         got = got[component]
     assert got == oracles.compose_fn(name, params, y, len(tail))
+
+
+_PAIRS = {"sincos": SinCosKernel, "sinhcosh": SinhCoshKernel}
+
+
+def _hexes(values):
+    """float.hex of every value, for F lists and (F, G) pairs alike."""
+    if isinstance(values, tuple):
+        return tuple(map(_hexes, values))
+    return [float.hex(v) for v in values]
+
+
+def _weighted_case(kind, params, ys):
+    """(what the kernel gives over ys, what the weighted recurrences give)."""
+    mode = Mode.RATIONAL if isinstance(ys[0], F) else Mode.FLOAT
+    if kind in _PAIRS:
+        kernel = _PAIRS[kind](params["alpha"], mode)
+    else:
+        kernel = make_kernel(kind, params, mode)[0]
+    return oracles.drive(kernel, ys), oracles.weighted_kernel(kind, params, ys)
+
+
+class TestWeightedListsBitIdentical:
+    """Kernels keep r Y(r), r F(r) or (m+1) r in lists and loop over them,
+    with no weight formed per term; float F and G must be the weighted
+    recurrences' values (oracles.weighted_kernel) bit for bit."""
+
+    CASES = [
+        ("power", {"m": 2.5}), ("power", {"m": -1.5}), ("power", {"m": 1 / 3}),
+        ("power", {"m": 3.0}), ("power", {"m": -2.0}),
+        ("exp", {"alpha": 0.75}), ("exp", {"alpha": -1.25}),
+        ("log", {"alpha": 0.5, "beta": 2.0}), ("log", {"alpha": -1.5, "beta": 5.0}),
+        ("sincos", {"alpha": 1.5}), ("sinhcosh", {"alpha": -0.5}),
+    ]
+
+    @staticmethod
+    def _prefix(rng, y0, order=60):
+        """Y(0..order): y0, then coefficients of either sign over six decades."""
+        return [y0] + [rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 2) for _ in range(order)]
+
+    @pytest.mark.parametrize("kind,params", CASES)
+    def test_float_kernels(self, kind, params):
+        rng = random.Random(f"bits:{kind}:{params}")
+        seeds = [rng.uniform(0.25, 3.0) for _ in range(3)]
+        seeds += [] if kind == "power" else [0.0]  # y^m at Y(0) = 0 takes products
+        for y0 in seeds:
+            got, expected = _weighted_case(kind, params, self._prefix(rng, y0))
+            assert _hexes(got) == _hexes(expected)
+
+    @pytest.mark.parametrize("kind,params", CASES)
+    def test_float_kernels_past_overflow(self, kind, params):
+        ys = [1.5] + [(-1.0) ** k * 1e120 for k in range(1, 61)]
+        got, expected = _weighted_case(kind, params, ys)
+        flat = expected[0] + expected[1] if kind in _PAIRS else expected
+        assert not all(map(math.isfinite, flat))
+        assert _hexes(got) == _hexes(expected)
+
+    @pytest.mark.parametrize("m", [0.0, 1.0, 2.0, 3.0, 5.0])
+    def test_integer_power_fallback(self, m):
+        rng = random.Random(f"bits:fallback:{m}")
+        for y0 in [0.0, -1.25, 2.5] if m <= 1 else [0.0, 0.0]:
+            got, expected = _weighted_case("power", {"m": m}, self._prefix(rng, y0))
+            assert _hexes(got) == _hexes(expected)
+
+    @pytest.mark.parametrize("kind,params,y0", [
+        ("exp", {"alpha": F(3, 4)}, F(0)), ("exp", {"alpha": F(-5, 3)}, F(0)),
+        ("log", {"alpha": F(1, 2), "beta": F(1)}, F(0)),
+        ("log", {"alpha": F(-2, 3), "beta": F(3)}, F(3)),
+    ])
+    def test_rational_exp_and_log(self, kind, params, y0):
+        rng = random.Random(f"bits:{kind}:{params}")
+        ys = [y0] + [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(30)]
+        got, expected = _weighted_case(kind, params, ys)
+        assert got == expected and all(type(v) is F for v in got)

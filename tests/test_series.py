@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -218,3 +219,23 @@ class TestGuardedSum:
         messages = []
         assert guarded_sum([0.0, 0.0], 0.0, messages.append, "probe") == 0.0
         assert messages == []
+
+    def test_label_function_runs_only_to_warn(self):
+        calls, messages = [], []
+
+        def label():
+            calls.append(1)
+            return "probe"
+
+        guarded_sum([1.0, 2.0], 0.0, messages.append, label)
+        assert calls == [] and messages == []
+        guarded_sum([1.5, -1.5], 0.0, messages.append, label)
+        assert messages == ["probe: cancellation ratio inf (largest term 1.500e+00)"]
+
+
+def test_float_dot_adds_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16; a compensated sum (sum() from
+    # Python 3.12 on, math.fsum) keeps the 1.0
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    got = dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0], 0.0)
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
