@@ -29,7 +29,7 @@ from functools import cached_property
 from operator import add, mul
 
 from . import kernels
-from .series import Mode, Number, Record, _warn_cancellation, as_list, coerce, dot, zero
+from .series import Mode, Number, Record, as_list, coerce, dot, guarded_sum, zero
 
 
 class GExpr(Record):
@@ -293,7 +293,7 @@ def validate_expr(e: GExpr, y0, mode: Mode) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-_KERNEL, _VAR, _CONST, _SCALE, _SUM, _EXACT_SUM, _PRODUCT, _EXACT_PRODUCT = range(8)
+_KERNEL, _VAR, _CONST, _SCALE, _SUM, _PRODUCT, _EXACT_PRODUCT = range(7)
 
 
 class ExprState:
@@ -341,10 +341,9 @@ class ExprState:
                 kernels_by_args[key] = cls(*args, self.mode)
                 self._steps.append((_KERNEL, None, kernels_by_args[key], None))
             return getattr(kernels_by_args[key], "fg"[i])
-        exact = self.mode is Mode.RATIONAL
         if isinstance(node, Product):
             left = slots[repr(node.children[0])]
-            op = _EXACT_PRODUCT if exact else _PRODUCT
+            op = _EXACT_PRODUCT if self.mode is Mode.RATIONAL else _PRODUCT
             for child in node.children[1:]:
                 out = as_list(self.mode)
                 self._steps.append((op, out, left, slots[repr(child)]))
@@ -358,7 +357,7 @@ class ExprState:
         elif isinstance(node, Scale):
             step = (_SCALE, out, coerce(node.factor, self.mode), slots[repr(node.child)])
         elif isinstance(node, Sum):
-            step = (_EXACT_SUM if exact else _SUM, out, [slots[repr(c)] for c in node.children], None)
+            step = (_SUM, out, [slots[repr(c)] for c in node.children], None)
         else:
             raise TypeError(f"not an expression node: {node!r}")
         self._steps.append(step)
@@ -383,21 +382,13 @@ class ExprState:
                 out.append(a if k == 0 else zero(mode))
             elif op == _SCALE:
                 out.append(a * b[k])
-            elif op == _EXACT_SUM:  # rational sums never warn
-                out.append(sum((c[k] for c in a), zero(mode)))
-            elif op == _EXACT_PRODUCT:
+            elif op == _SUM:
+                terms = (c[k] for c in a)
+                out.append(guarded_sum(terms, zero(mode), warn, lambda: f"sum at index {at}"))
+            elif op == _EXACT_PRODUCT:  # a rational sum never warns
                 out.append(dot(a, reversed(b), zero(mode)))
-            else:  # float: left to right from 0.0, watching the largest term
-                if op == _SUM:
-                    terms, label = (c[k] for c in a), "sum"
-                else:  # _PRODUCT: the Cauchy product of two slots at index k
-                    terms, label = map(mul, a, reversed(b)), "product convolution"
-                total = largest = 0.0
-                for t in terms:
-                    total += t
-                    if abs(t) > largest:
-                        largest = abs(t)
-                if warn is not None:
-                    _warn_cancellation(total, largest, warn, lambda: f"{label} at index {at}")
-                out.append(total)
+            else:  # _PRODUCT: the Cauchy product of two slots at index k
+                terms = map(mul, a, reversed(b))
+                out.append(guarded_sum(
+                    terms, zero(mode), warn, lambda: f"product convolution at index {at}"))
         return self._root[k]

@@ -9,10 +9,11 @@ follow from differentiating f(y(x)) once and transforming the resulting
 first-order identity, e.g. for f = y^m from  y f' = m f y'.
 
 Differentiating leaves a weight r on each term ((m+1) r - k for y^m),
-so each kernel keeps a list, one entry appended per index: r Y(r) (exp
-and the pairs), r F(r) (ln) or (m+1) r (y^m).  Float convolutions are
-then plain left-to-right float loops: exp and ln call :func:`series.dot`;
-y^m and the pairs (both sums in one pass) loop here.
+so each kernel keeps a list, one entry appended per index: r Y(r) (the
+pairs, and exp in float mode), r F(r) (ln) or (m+1) r (y^m).  Float
+convolutions are then plain left-to-right float loops: exp and ln call
+:func:`series.dot`; y^m and the pairs (both sums in one pass) loop here.
+Rational exp passes the weights r to :func:`series.dot` instead.
 
 Because F(k) depends on Y(0..k) only, a solver may interleave kernel
 steps with the recurrence that produces Y itself; that causality is the
@@ -102,10 +103,10 @@ class Kernel:
         """Consume Y(0..k), k the number of F values so far, and return F(k).
 
         Earlier entries of the prefix must not change between calls,
-        because kernels read them again: Power and Log read Y(1..k) on
-        every call, and Exp and the sin/cos and sinh/cosh pairs keep
-        r*Y(r) from earlier calls.  Causality holds because F(k) reads only
-        Y(0..k).
+        because kernels read them again: Power, Log and rational Exp read
+        Y(1..k) on every call, and float Exp and the sin/cos and sinh/cosh
+        pairs keep r*Y(r) from earlier calls.  Causality holds because F(k)
+        reads only Y(0..k).
         """
         k = len(self.f)
         check_prefix(y_prefix, k)
@@ -216,14 +217,18 @@ class ExpKernel(Kernel):
     def __init__(self, alpha, mode: Mode):
         super().__init__(mode)
         self.alpha = coerce(alpha, mode)
-        self._dy = as_list(mode)  # r Y(r), r = 1..k
+        self._dy = []  # float mode: r Y(r), r = 1..k
 
     def _step(self, k, y):
         if k == 0:
             s = self.alpha * coerce(y[0], self.mode)
             return self._seed(s, 0, "alpha*Y(0) == 0")[0]
-        self._dy.append(k * y[k])
-        return self.alpha * dot(self._dy, reversed(self.f), zero(self.mode)) / k
+        if self.mode is Mode.RATIONAL:  # a list would normalise a Fraction k*Y(k) per step
+            acc = dot(y[1 : k + 1], reversed(self.f), zero(self.mode), range(1, k + 1))
+        else:
+            self._dy.append(k * y[k])
+            acc = dot(self._dy, reversed(self.f), 0.0)
+        return self.alpha * acc / k
 
 
 class LogKernel(Kernel):

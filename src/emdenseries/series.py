@@ -8,11 +8,12 @@ highest power N (the *order*), so that
 
 Products are truncating: the product of order-N series is an order-N
 series and terms above x^N are dropped.  Callers that need more headroom
-pad first (see :meth:`Series.pad`).  Exact convolutions and the float
-Exp and Log kernels go through :func:`dot`; float Power and the paired
-kernels fuse their own loops, as do :class:`emdenseries.expr.ExprState`
-sums and products, which warn by :func:`guarded_sum`'s rule.  Every
-float sum runs left to right from 0.0.  Rational lists hold integer
+pad first (see :meth:`Series.pad`).  Exact convolutions and the Exp
+and Log kernels go through :func:`dot`; float Power and the paired
+kernels fuse their own loops.  The float sums and products of
+:class:`emdenseries.expr.ExprState` and the recurrence's forcing sum go
+through :func:`guarded_sum`, which reports cancellation.  Every float
+sum runs left to right from 0.0.  Rational lists hold integer
 numerators over one running denominator (Knuth, TAOCP vol. 2, 4.5.1),
 so :func:`dot` and :func:`evaluate` are each one integer sum, normalised
 once; Fractions are canonical, so the values do not change.
@@ -266,7 +267,7 @@ def dot(xs, ys, start: Number, weights=None) -> Number:
     only) each term ``(w*x)*y``, accumulated left to right and stopping
     at the shortest input.
 
-    Exact convolutions, the float Exp and Log kernels and integer powers'
+    Exact convolutions, the Exp and Log kernels and integer powers'
     products call it.  Callers pass :func:`zero` as ``start``; starting
     from the first term instead would turn a sum of -0.0 terms into -0.0
     rather than 0.0.  A Fraction ``start`` takes RationalLists
@@ -306,7 +307,7 @@ def evaluate(s: Series, x) -> Number:
     return acc
 
 
-# largest term / |sum| above which a float sum reports lost digits
+# largest term / |sum| above which guarded_sum reports lost float digits
 _CANCELLATION_LIMIT = 1e6
 
 
@@ -314,15 +315,15 @@ def guarded_sum(
     terms,
     start: Number,
     on_warn: Callable[[str], None] | None = None,
-    label: str | Callable[[], str] = "",
+    label: Callable[[], str] = lambda: "",
 ) -> Number:
     """Sum ``terms`` onto ``start``, flagging heavy float cancellation.
 
     In float mode, when the largest term magnitude exceeds
     ``_CANCELLATION_LIMIT`` times the final sum, most leading digits
     cancelled and the result has lost precision; ``on_warn`` receives one
-    message, named by ``label`` or by ``label()`` if callable.  No
-    compensated summation is attempted.  Rational sums never warn.
+    message, named by ``label()``, which runs only then.  No compensated
+    summation is attempted.  Rational sums are exact and never warn.
     """
     total = start
     largest = 0.0
@@ -333,15 +334,8 @@ def guarded_sum(
             m = abs(t)
             if m > largest:
                 largest = m
-    if watching:
-        _warn_cancellation(total, largest, on_warn, label)
+    if watching and largest > 0.0:
+        if total == 0.0 or largest / abs(total) > _CANCELLATION_LIMIT:
+            ratio = "inf" if total == 0.0 else f"{largest / abs(total):.1e}"
+            on_warn(f"{label()}: cancellation ratio {ratio} (largest term {largest:.3e})")
     return total
-
-
-def _warn_cancellation(total: float, largest: float, on_warn, label) -> None:
-    """The cancellation rule of :func:`guarded_sum`, for a float ``total``
-    whose terms were at most ``largest`` in magnitude."""
-    if largest > 0.0 and (total == 0.0 or largest / abs(total) > _CANCELLATION_LIMIT):
-        ratio = "inf" if total == 0.0 else f"{largest / abs(total):.1e}"
-        name = label() if callable(label) else label
-        on_warn(f"{name}: cancellation ratio {ratio} (largest term {largest:.3e})")

@@ -201,23 +201,23 @@ class TestGuardedSum:
 
     def test_warns_on_cancellation(self):
         messages = []
-        total = guarded_sum([1e8, -1e8, 1.0], 0.0, messages.append, "probe")
+        total = guarded_sum([1e8, -1e8, 1.0], 0.0, messages.append, lambda: "probe")
         assert total == 1.0
         assert len(messages) == 1 and "probe" in messages[0]
 
     def test_silent_on_benign_sum(self):
         messages = []
-        guarded_sum([1.0, 2.0, 3.0], 0.0, messages.append, "probe")
+        guarded_sum([1.0, 2.0, 3.0], 0.0, messages.append, lambda: "probe")
         assert messages == []
 
     def test_warns_on_total_cancellation(self):
         messages = []
-        assert guarded_sum([1.5, -1.5], 0.0, messages.append, "probe") == 0.0
+        assert guarded_sum([1.5, -1.5], 0.0, messages.append, lambda: "probe") == 0.0
         assert len(messages) == 1
 
     def test_all_zero_terms_do_not_warn(self):
         messages = []
-        assert guarded_sum([0.0, 0.0], 0.0, messages.append, "probe") == 0.0
+        assert guarded_sum([0.0, 0.0], 0.0, messages.append, lambda: "probe") == 0.0
         assert messages == []
 
     def test_label_function_runs_only_to_warn(self):
