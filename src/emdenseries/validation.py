@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from functools import partial
+from math import copysign, inf
 
 from .expr import evaluate_scalar
 from .kernels import KernelDomainError
@@ -87,65 +88,90 @@ def reference_series(pid: PresetId) -> Series:
 
 # --- off-origin numeric integration ----------------------------------------
 
-# Dormand-Prince 5(4) tableau: fifth-order propagation, fourth-order
-# error estimate from the difference of the two weight rows.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# Dormand-Prince 5(4) tableau: nodes c, stage weights a, fifth-order weights
+# b (also stage 7's row; b2 = b7 = 0) and error weights e = b - b4, the
+# difference from the embedded fourth-order row.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4 = _B1 - 5179 / 57600, _B3 - 7571 / 16695, _B4 - 393 / 640
+_E5, _E6, _E7 = _B5 + 92097 / 339200, _B6 - 187 / 2100, -1 / 40
 
 
-def _dopri_step(f, x, y, dy, h):
-    """One step of (y, y'): fifth-order values and error estimates.  Sums run left
-    to right; a stage skips its zero weights, the final sums add all seven."""
-    ks = []
-    for c, row in zip(_DP_C, _DP_A):
-        yi, di = y, dy
-        for aij, (kyj, kdj) in zip(row, ks):
-            if aij != 0.0:
-                yi, di = yi + h * aij * kyj, di + h * aij * kdj
-        ks.append(f(x + c * h, yi, di))
-    y5, d5, ey, ed = y, dy, 0.0, 0.0
-    for b5, b4, (kyi, kdi) in zip(_DP_B5, _DP_B4, ks):
-        y5, d5 = y5 + h * b5 * kyi, d5 + h * b5 * kdi
-        ey, ed = ey + h * (b5 - b4) * kyi, ed + h * (b5 - b4) * kdi
-    return y5, d5, ey, ed
+def _same(u, v):
+    """u and v are one float bit for bit (zeros of one sign; NaN never)."""
+    return u == v and (u != 0.0 or copysign(1.0, u) == copysign(1.0, v))
 
 
-def _integrate(f, x0, y, dy, x1, tol):
-    """(y, y') at x1 from (y, y')' = f(x, y, y'), adaptive from x0, local error <= tol."""
-    x, span = x0, x1 - x0
-    h = min(1e-2, span / 10) if span > 0 else span
-    steps = 0
-    while x < x1:
-        last = x + h > x1
-        if last:
-            h = x1 - x
-        y5, d5, ey, ed = _dopri_step(f, x, y, dy, h)
-        norm = max(0.0, abs(ey) / (tol + tol * max(abs(y), abs(y5))),
-                   abs(ed) / (tol + tol * max(abs(dy), abs(d5))))
-        if norm <= 1.0:
-            # x + (x1 - x) can round short of x1
-            x = x1 if last else x + h
-            y, dy = y5, d5
-            factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm**-0.2))
-        else:
-            factor = max(0.2, 0.9 * norm**-0.2)
-        h *= factor
-        if x < x1 and h < 1e-14 * max(abs(x), span):
-            raise StepSizeUnderflowError(f"step size underflow at x = {x}")
-        steps += 1
-        if steps > 1_000_000:
-            raise StepSizeUnderflowError("step budget exhausted")
-    return y, dy
+def _dopri_step(f, x, y, dy, h, k1):
+    """One step of (y, y') from k1 = f(x, y, y'): fifth-order values, error
+    estimates, and k7 if stage 7 ran at (x + h, y5, y5') bit for bit, else None.
+    Sums run left to right in tableau order; a stage skips its zero weights,
+    y5 and y5' keep their two 0.0-weighted terms (they can flip a zero's sign
+    or carry a NaN), and the error sums add all seven stages to 0.0."""
+    k1y, k1d = k1
+    a1 = h * _A21
+    k2y, k2d = f(x + _C2 * h, y + a1 * k1y, dy + a1 * k1d)
+    a1, a2 = h * _A31, h * _A32
+    k3y, k3d = f(x + _C3 * h, y + a1 * k1y + a2 * k2y, dy + a1 * k1d + a2 * k2d)
+    a1, a2, a3 = h * _A41, h * _A42, h * _A43
+    k4y, k4d = f(x + _C4 * h, y + a1 * k1y + a2 * k2y + a3 * k3y,
+                 dy + a1 * k1d + a2 * k2d + a3 * k3d)
+    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
+    k5y, k5d = f(x + _C5 * h, y + a1 * k1y + a2 * k2y + a3 * k3y + a4 * k4y,
+                 dy + a1 * k1d + a2 * k2d + a3 * k3d + a4 * k4d)
+    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    k6y, k6d = f(x + h, y + a1 * k1y + a2 * k2y + a3 * k3y + a4 * k4y + a5 * k5y,
+                 dy + a1 * k1d + a2 * k2d + a3 * k3d + a4 * k4d + a5 * k5d)
+    b1, b3, b4, b5, b6, z = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6, h * 0.0
+    y7 = y + b1 * k1y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y
+    d7 = dy + b1 * k1d + b3 * k3d + b4 * k4d + b5 * k5d + b6 * k6d
+    k7 = k7y, k7d = f(x + h, y7, d7)
+    y5 = y + b1 * k1y + z * k2y + b3 * k3y + b4 * k4y + b5 * k5y + b6 * k6y + z * k7y
+    d5 = dy + b1 * k1d + z * k2d + b3 * k3d + b4 * k4d + b5 * k5d + b6 * k6d + z * k7d
+    e1, e3, e4, e5, e6, e7 = h * _E1, h * _E3, h * _E4, h * _E5, h * _E6, h * _E7
+    ey = 0.0 + e1 * k1y + z * k2y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y
+    ed = 0.0 + e1 * k1d + z * k2d + e3 * k3d + e4 * k4d + e5 * k5d + e6 * k6d + e7 * k7d
+    return y5, d5, ey, ed, k7 if _same(y7, y5) and _same(d7, d5) else None
+
+
+def _integrate(f, x, y, dy, stops, tol):
+    """y at each of the increasing ``stops`` from (y, y')' = f(x, y, y'), adaptive
+    from x with local error <= tol; each stretch starts at step min(1e-2, span/10).
+    k1 is evaluated only when no earlier call gave it: a rejected step reuses its k1,
+    and an accepted one hands on k7 when :func:`_dopri_step` returns it and stage 7
+    ran at the new x."""
+    out, k1 = [], None
+    for x1 in stops:
+        span, steps = x1 - x, 0
+        h = min(1e-2, span / 10) if span > 0 else span
+        while x < x1:
+            last = x + h > x1
+            if last:
+                h = x1 - x
+            if k1 is None:
+                k1 = f(x, y, dy)
+            y5, d5, ey, ed, k7 = _dopri_step(f, x, y, dy, h, k1)
+            norm = max(0.0, abs(ey) / (tol + tol * max(abs(y), abs(y5))),
+                       abs(ed) / (tol + tol * max(abs(dy), abs(d5))))
+            if norm <= 1.0:  # x + (x1 - x) can round off x1
+                x, k1 = (x + h, k7) if not last or x + h == x1 else (x1, None)
+                y, dy = y5, d5
+                factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm**-0.2))
+            else:
+                factor = max(0.2, 0.9 * norm**-0.2)
+            h *= factor
+            if x < x1 and h < 1e-14 * max(abs(x), span):
+                raise StepSizeUnderflowError(f"step size underflow at x = {x}")
+            steps += 1
+            if steps > 1_000_000:
+                raise StepSizeUnderflowError("step budget exhausted")
+        out.append(y)
+    return out
 
 
 def rk_trajectory(problem: EmdenProblem, series: Series, xs: Sequence, tol: float = 1e-10) -> list:
@@ -156,11 +182,14 @@ def rk_trajectory(problem: EmdenProblem, series: Series, xs: Sequence, tol: floa
     x_start = min(1e-3, half the smallest positive point), or 1e-3 when
     no point is positive, with (y, y') read off ``series`` there, then
     runs through the sorted, de-duplicated points, each stretch of x
-    integrated once; x = 0 gives the problem's y(0) and a negative or NaN
-    point raises ValueError.  This is an independent check on the series in
-    the only sense available: the trajectory is produced by step-wise
-    quadrature, not by the coefficient recurrence that built the series.
+    integrated once; x = 0 gives the problem's y(0).  A negative or NaN
+    point, or a ``tol`` not positive and finite, raises ValueError.  This is
+    an independent check on the series in the only sense available: the
+    trajectory is produced by step-wise quadrature, not by the coefficient
+    recurrence that built the series.
     """
+    if not 0 < tol < inf:  # NaN fails it too
+        raise ValueError(f"tol {tol} must be a positive finite number")
     targets = [float(x) for x in xs]
     for x in targets:
         if not x >= 0:  # NaN fails it too
@@ -172,19 +201,20 @@ def rk_trajectory(problem: EmdenProblem, series: Series, xs: Sequence, tol: floa
     dy = Series([k * c for k, c in enumerate(series.coeffs)][1:], Mode.FLOAT)
     state = (evaluate(series, x_start), evaluate(dy, x_start))
     p, a = (as_float(getattr(problem, name), f"equation constant {name}") for name in "pa")
-    f_poly = problem.f_poly.to_float()
+    top, *low = reversed(problem.f_poly.to_float().coeffs)
 
     def rhs(x, yv, dyv):
         try:
             gv = evaluate_scalar(g, yv)
         except OverflowError:  # the trajectory blows up: exp(y) or y^m past the float range
             raise KernelDomainError(f"g(y) overflows at y = {yv} (x = {x})") from None
-        return (dyv, -(p / x) * dyv - a * evaluate(f_poly, x) * gv)
+        fx = top  # f(x) by Horner from the top, as evaluate does
+        for c in low:
+            fx = fx * x + c
+        return (dyv, -(p / x) * dyv - a * fx * gv)
 
-    reached, values = x_start, {0.0: float(problem.y0)}
-    for xt in sorted(set(targets) - {0.0}):
-        state = _integrate(rhs, reached, *state, xt, tol)
-        reached, values[xt] = xt, state[0]
+    values, stops = {0.0: float(problem.y0)}, sorted(set(targets) - {0.0})
+    values.update(zip(stops, _integrate(rhs, x_start, *state, stops, tol)))
     return [values[xt] for xt in targets]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction as F
 
@@ -212,6 +213,16 @@ class TestRkTrajectory:
         with pytest.raises(ValueError, match=r"^x_target nan must be >= 0$"):
             _rk(problem, xs)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf],
+                             ids=["zero", "negative", "nan", "inf", "minus_inf"])
+    def test_rejects_a_tol_not_positive_and_finite(self, tol):
+        # 0 divided by zero, and any other of these accepted every step at
+        # fivefold growth: here y then left ln's domain
+        problem = build_preset(PresetId("example6", a=1), 20, Mode.FLOAT)
+        message = rf"^tol {re.escape(str(tol))} must be a positive finite number$"
+        with pytest.raises(ValueError, match=message):
+            _rk(problem, [1.0], tol)
+
     @pytest.mark.parametrize("xs, start", [
         ([0.5], 1e-3), (DENSE_GRID, 5e-4),
         ([0.0, 0.4], 1e-3), ([0.001, 0.0], 5e-4),
@@ -357,6 +368,132 @@ class TestTwoFloatStep:
         want = _outcome(oracles.generic_trajectory, problem, xs)
         assert want[0] is error and want[1].startswith(message)
         assert _outcome(rk_trajectory, problem, xs) == want
+
+
+def _zero_sign_slopes(x, y, dy):
+    """(y, y')' with y'' = 1 for which, from (x, y, y') = (0, -0.0, 0.0), the
+    first step's stage 7 runs at y = -0.0 and its y5 is +0.0: the y-slope is
+    positive where y == 0 < y' (stages 2 and 7), +0.0 below y = -12 y' (only
+    stage 5) and -0.0 elsewhere, so stage 7 sums signed zeros that are all
+    -0.0 while y5 adds the stage-2 term weighted by 0.0.  Where y == 0 < y'
+    the slope depends on the zero's sign, so k7 taken for the next k1 would
+    change the result."""
+    if y == 0 and dy > 0:
+        return (1.0 if math.copysign(1.0, y) < 0 else 0.5), 1.0
+    return (0.0 if y < -12 * dy else -0.0), 1.0
+
+
+def _generic_stops(f, x, y, dy, stops, tol):
+    """y at each stop by the generic integrator, one stretch at a time."""
+    out, state = [], [y, dy]
+    for x1 in stops:
+        state = oracles._integrate(lambda x, s: f(x, *s), x, state, x1, tol)
+        x = x1
+        out.append(state[0])
+    return out
+
+
+class TestStageReuse:
+    """An accepted step's k7 becomes the next k1 only where stage 7 ran at the
+    next step's (x, y, y') bit for bit, and a rejected step keeps its k1: the
+    same floats as the generic integrator, from fewer right-hand sides."""
+
+    def test_zero_of_the_other_sign_is_evaluated_afresh(self):
+        calls = []
+
+        def f(x, y, dy):
+            calls.append((x, y, dy))
+            return _zero_sign_slopes(x, y, dy)
+
+        stops = [0.1, 0.5, 1.0]
+        got = validation._integrate(f, 0.0, -0.0, 0.0, stops, 1.0)
+        want = _generic_stops(_zero_sign_slopes, 0.0, -0.0, 0.0, stops, 1.0)
+        assert list(map(repr, got)) == list(map(repr, want))
+        # the first step's k1 and stages 2-7, then the second step's k1
+        (x7, y7, d7), (x1, y1, d1) = calls[6:8]
+        assert (x7, d7) == (x1, d1) and (repr(y7), repr(y1)) == ("-0.0", "0.0")
+
+    def test_clipped_step_past_its_stop_hands_nothing_on(self, monkeypatch):
+        # from x = 0.31 the clipped step's x + (6/7 - x) lands one ulp past 6/7,
+        # where this slope has switched on, so that step's k7 is not f at 6/7
+        stop, steps = 6 / 7, []
+        step = validation._dopri_step
+
+        def spy(f, x, y, dy, h, k1):
+            steps.append((x, h))
+            return step(f, x, y, dy, h, k1)
+
+        def f(x, y, dy):
+            return dy, float(x > stop)
+
+        monkeypatch.setattr(validation, "_dopri_step", spy)
+        got = validation._integrate(f, 0.0, 0.0, 0.0, [stop, 2.0], 1.0)
+        want = _generic_stops(f, 0.0, 0.0, 0.0, [stop, 2.0], 1.0)
+        assert list(map(repr, got)) == list(map(repr, want))
+        assert any(x < stop < x + h for x, h in steps)
+
+    # lane_emden m=0 rejects nothing: its error estimate is exactly 0
+    @pytest.mark.parametrize("pid", [pid for pid in EVERY_PRESET if pid.m != 0], ids=_preset_label)
+    def test_bit_identical_through_rejected_steps(self, pid, monkeypatch):
+        starts = []
+        step = validation._dopri_step
+
+        def spy(f, x, *rest):
+            starts.append(x)
+            return step(f, x, *rest)
+
+        monkeypatch.setattr(validation, "_dopri_step", spy)
+        problem = build_preset(pid, 20, Mode.FLOAT)
+        series = solve(problem).series
+        want = oracles.generic_trajectory(problem, series, NONZERO_GRID, 1e-13)
+        got = rk_trajectory(problem, series, NONZERO_GRID, 1e-13)
+        assert list(map(repr, got)) == list(map(repr, want))
+        # a rejected step is retried from the same x
+        assert sum(a == b for a, b in zip(starts, starts[1:])) >= 2
+
+    @pytest.mark.parametrize("pid", EVERY_PRESET, ids=_preset_label)
+    def test_no_k1_repeats_an_evaluation(self, pid, monkeypatch):
+        # a k1 that _integrate evaluates itself is new bit for bit, and new in
+        # value unless the guard refused the last k7; stages 6 and 7, both at
+        # x + h, can still coincide (lane_emden m=0, whose solution is a quadratic)
+        calls, generic_calls, repeats = [], [], []
+        seen_bits, seen, step_state = set(), set(), {"inside": False, "refused": False}
+        integrate, step = validation._integrate, validation._dopri_step
+        generic = oracles._integrate
+
+        def spy(f, *args):
+            def counted(x, y, dy):
+                bits = tuple(map(float.hex, (x, y, dy)))
+                if not step_state["inside"] and (
+                        bits in seen_bits or ((x, y, dy) in seen and not step_state["refused"])):
+                    repeats.append((x, y, dy))
+                seen_bits.add(bits)
+                seen.add((x, y, dy))
+                calls.append(x)
+                return f(x, y, dy)
+            return integrate(counted, *args)
+
+        def step_spy(*args):
+            step_state["inside"] = True
+            out = step(*args)
+            step_state.update(inside=False, refused=out[4] is None)
+            return out
+
+        def generic_spy(f, *args):
+            def counted(x, state):
+                generic_calls.append(x)
+                return f(x, state)
+            return generic(counted, *args)
+
+        monkeypatch.setattr(validation, "_integrate", spy)
+        monkeypatch.setattr(validation, "_dopri_step", step_spy)
+        monkeypatch.setattr(oracles, "_integrate", generic_spy)
+        problem = build_preset(pid, 20, Mode.FLOAT)
+        series = solve(problem).series
+        rk_trajectory(problem, series, NONZERO_GRID)
+        oracles.generic_trajectory(problem, series, NONZERO_GRID)
+        assert repeats == []
+        assert len(calls) <= 0.9 * len(generic_calls)
 
 
 class TestCompare:
