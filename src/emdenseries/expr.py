@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from functools import cached_property
-from operator import add, mul
+from functools import cached_property, lru_cache
+from operator import mul
 
 from . import kernels
 from .series import Mode, Number, Record, as_list, coerce, dot, guarded_sum, zero
@@ -38,20 +38,7 @@ class GExpr(Record):
     __slots__ = ()
     kernel = None  # (kernel class, 0 for its F list or 1 for its G list)
 
-    @cached_property
-    def _scalar(self) -> Callable[[float], float]:
-        """g at a float y, compiled once for :func:`evaluate_scalar`;
-        KernelDomainError names a constant past the float range."""
-        values = []
-        for value in self._values():
-            if not isinstance(value, (GExpr, tuple)):
-                try:
-                    values.append(float(value))
-                except OverflowError:
-                    raise kernels.KernelDomainError(
-                        f"constant {value} in g(y) overflows a float"
-                    ) from None
-        return _compile_scalar(self, values)
+    _scalar = cached_property(lambda self: _compile_scalar(self))  # for evaluate_scalar
 
     def __getstate__(self):  # pickles without the compiled closure, which does not pickle
         return {k: v for k, v in vars(self).items() if k != "_scalar"}
@@ -202,51 +189,64 @@ def evaluate_scalar(e: GExpr, y: float) -> float:
     """Plain numeric value g(y) at a scalar y (float arithmetic).
 
     Used by the off-origin integrator, which works on numbers rather
-    than coefficient streams.
+    than coefficient streams.  The tree is compiled on first use into one
+    flat function (:func:`_compile_scalar`) that the root node keeps.
     """
     return e._scalar(y)
 
 
-def _compile_scalar(e: GExpr, values: list) -> Callable[[float], float]:
-    """g at a float y as one closure per node, given the node's numeric fields
-    as floats: a tree walk's operations in its order, minus its type tests."""
-    if isinstance(e, Var):
-        return float
-    if isinstance(e, Const):
-        return lambda y: values[0]
-    if isinstance(e, Scale):
-        factor, child = values[0], e.child._scalar
-        return lambda y: factor * child(y)
-    if isinstance(e, _Nary):
-        # left to right from 0.0 or 1.0, as ExprState adds (sum() compensates from 3.12 on)
-        op, start = (add, 0.0) if isinstance(e, Sum) else (mul, 1.0)
-        children = [c._scalar for c in e.children]
-        def fold(y):
-            out = start
-            for c in children:
-                out = op(out, c(y))
-            return out
-        return fold
-    if isinstance(e, Power):
-        # the closure holds the exponent, not e: e holds the closure, and a
-        # cycle would leave every solved problem's g to the cyclic collector
-        (m,), exponent = values, e.exponent
-        def power(y):
-            if y < 0 and not m.is_integer():
-                raise kernels.KernelDomainError(f"y^({exponent}) at negative y = {y}")
-            return float(y) ** m
-        return power
-    cls, i = e.kernel
-    fn, alpha = cls.functions[i], values[0]
-    if isinstance(e, Log):
-        beta = values[1]
-        def log(y):
-            s = alpha * y + beta
-            if s <= 0:
-                raise kernels.KernelDomainError(f"ln argument {s} is not positive")
-            return fn(s)
-        return log
-    return lambda y: fn(alpha * y)
+def _compile_scalar(e: GExpr) -> Callable[[float], float]:
+    """g at a float y as one generated function, a statement per node in a tree walk's
+    order and operations.  Each constant goes through float() once, parents first, into an
+    argument (never a node, as the root keeps g) of a factory whose source names node
+    kinds only, so trees that differ in constants alone share one factory, compiled once."""
+    lines, args = [], []
+
+    def arg(value) -> str:
+        args.append(value)
+        return f"c{len(args) - 1}"
+
+    def const(value) -> str:
+        try:
+            return arg(float(value))
+        except OverflowError:
+            raise kernels.KernelDomainError(f"constant {value} in g(y) overflows a float") from None
+
+    def let(value: str) -> str:
+        lines.append(f"v{len(lines)} = {value}")
+        return f"v{len(lines) - 1}"
+
+    def emit(node) -> str:  # node's value over the names bound so far
+        c = [const(v) for v in node._values() if not isinstance(v, (GExpr, tuple))]
+        if isinstance(node, Scale):
+            return f"{c[0]} * {let(emit(node.child))}"
+        if isinstance(node, _Nary):  # left to right from 0.0 or 1.0, as ExprState adds
+            op, start = (" + ", "0.0") if isinstance(node, Sum) else (" * ", "1.0")
+            terms = [start, *(let(emit(child)) for child in node.children)]
+            while len(terms) > 100:  # the bytecode compiler recurses once per operator
+                terms[:100] = [let(op.join(terms[:100]))]
+            return op.join(terms)
+        if isinstance(node, (Var, Const)):
+            return c[0] if c else "float(y)"  # Const's value, or y
+        if isinstance(node, Power):
+            lines.append(f"if y < 0 and not {c[0]}.is_integer(): "
+                         f"raise Error(f'y^({{{arg(node.exponent)}}}) at negative y = {{y}}')")
+            return f"float(y) ** {c[0]}"
+        (cls, i), s = node.kernel, f"{c[0]} * y"
+        if isinstance(node, Log):
+            s = let(f"{s} + {c[1]}")
+            lines.append(f"if {s} <= 0: raise Error(f'ln argument {{{s}}} is not positive')")
+        return f"{arg(cls.functions[i])}({s})"
+
+    lines.append(f"return {emit(e)}")
+    params, body = ", ".join(f"c{j}" for j in range(len(args))), "\n        ".join(lines)
+    return _factory(f"def factory({params}):\n    def g(y):\n        {body}\n    return g")(*args)
+
+
+@lru_cache(maxsize=256)
+def _factory(source: str) -> Callable:
+    exec(source, namespace := {"Error": kernels.KernelDomainError})
+    return namespace["factory"]
 
 
 class Finding(Record):

@@ -156,16 +156,25 @@ def _integrate(f, x, y, dy, stops, tol):
             if k1 is None:
                 k1 = f(x, y, dy)
             y5, d5, ey, ed, k7 = _dopri_step(f, x, y, dy, h, k1)
-            norm = max(0.0, abs(ey) / (tol + tol * max(abs(y), abs(y5))),
-                       abs(ed) / (tol + tol * max(abs(dy), abs(d5))))
+            # max(0.0, |ey| / (tol + tol * max(|y|, |y5|)), the same for y') and the
+            # clamps spelled out: a later value replaces only if greater (smaller for min)
+            a, b = abs(y), abs(y5)
+            ny = abs(ey) / (tol + tol * (b if b > a else a))
+            a, b = abs(dy), abs(d5)
+            nd = abs(ed) / (tol + tol * (b if b > a else a))
+            norm = ny if ny > 0.0 else 0.0
+            norm = nd if nd > norm else norm
             if norm <= 1.0:  # x + (x1 - x) can round off x1
                 x, k1 = (x + h, k7) if not last or x + h == x1 else (x1, None)
                 y, dy = y5, d5
-                factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm**-0.2))
+                # min(5.0, max(0.2, ...)): 0 < norm <= 1 puts 0.9 * norm**-0.2 at 0.9 or more
+                factor = 5.0 if norm == 0.0 else 0.9 * norm**-0.2
+                factor = factor if factor < 5.0 else 5.0
             else:
-                factor = max(0.2, 0.9 * norm**-0.2)
+                factor = 0.9 * norm**-0.2
+                factor = factor if factor > 0.2 else 0.2
             h *= factor
-            if x < x1 and h < 1e-14 * max(abs(x), span):
+            if x < x1 and h < 1e-14 * (span if span > (a := abs(x)) else a):
                 raise StepSizeUnderflowError(f"step size underflow at x = {x}")
             steps += 1
             if steps > 1_000_000:

@@ -22,6 +22,7 @@ from emdenseries import (
     ModeMismatchError,
     PowerKernel,
     Power,
+    PresetId,
     Product,
     Scale,
     Sin,
@@ -29,11 +30,13 @@ from emdenseries import (
     Sinh,
     Sum,
     Var,
+    build_preset,
     evaluate_scalar,
     format_expr,
     parse_expression,
     validate_expr,
 )
+from emdenseries import expr
 from emdenseries.kernels import PrefixLengthError
 
 import oracles
@@ -307,6 +310,16 @@ def test_bare_base_node_is_not_an_expression(call):
         call(GExpr())
 
 
+PRESET_GS = [PresetId("lane_emden", m=m) for m in (0, 1, F(3, 2), 3, 5)] + [
+    PresetId("isothermal"), PresetId("sinh_case"), PresetId("sin_case"),
+    PresetId("example5", a=1), PresetId("example6", a=1),
+]
+
+
+def _preset_label(pid):
+    return "_".join(str(v) for v in (pid.name, pid.m, pid.a) if v is not None)
+
+
 class TestScalarEvaluation:
     def test_example6_shape(self):
         e = Sum((Scale(F(18), Var()), Scale(F(4), Product((Var(), Log(F(1), F(0)))))))
@@ -349,6 +362,79 @@ class TestScalarEvaluation:
     def test_sum_adds_left_to_right(self):
         # as ExprState does; a compensated sum would give 1.0
         assert evaluate_scalar(Sum((Const(1e16), Const(1.0), Const(-1e16))), 1.0) == 0.0
+
+    def test_wide_sums_and_products_fold_left_to_right(self):
+        # past 100 terms the generated expression is split into statements
+        terms = [Const(c) for c in [1e16, 1.0, -1e16, 0.5, 3.0, -2.5] * 50] + [Scale(F(3), Var())]
+        factors = [Const(1 + k / 997) for k in range(-130, 130)] + [Var()]
+        for e in (Sum(tuple(terms)), Product(tuple(factors))):
+            got, want = evaluate_scalar(e, 0.3), oracles.float_per_call(e, 0.3)
+            assert float.hex(got) == float.hex(want)
+
+    def test_outermost_constant_past_the_float_range_is_named(self):
+        # a node's constants go through float() before its children's
+        e = Scale(F(10**400), Sum((Scale(F(10**500), Var()), Const(F(10**600)))))
+        message = rf"^constant {10**400} in g\(y\) overflows a float$"
+        with pytest.raises(KernelDomainError, match=message):
+            evaluate_scalar(e, 1.0)
+
+    def test_source_holds_no_constant(self, monkeypatch):
+        # the constants are the factory's arguments, never text in its source
+        sources, factory = [], expr._factory
+
+        def spy(source):
+            sources.append(source)
+            return factory(source)
+
+        monkeypatch.setattr(expr, "_factory", spy)
+        e = Sum((Const(1234.5678), Scale(F(98765, 4321), Exp(F(-13, 17))),
+                 Power(F(51, 7)), Log(F(777, 3), F(4321, 9))))
+        assert evaluate_scalar(e, 0.5) == oracles.float_per_call(e, 0.5)
+        (source,) = sources
+        for number in (1234.5678, F(98765, 4321), F(-13, 17), F(51, 7), F(777, 3), F(4321, 9)):
+            assert str(number) not in source and repr(float(number)) not in source
+        assert "Fraction" not in source and "4321" not in source
+
+    def test_trees_differing_in_constants_share_one_factory(self):
+        # one cached factory, so one code object for every g it makes
+        def tree(a, b, c):
+            return Sum((Scale(a, Var()), Product((Var(), Log(b, c))), Power(b), Cosh(c)))
+
+        one, two = tree(F(18), F(1), F(0)), tree(F(-3, 7), F(5, 2), F(11))
+        assert evaluate_scalar(one, 0.7) != evaluate_scalar(two, 0.7)
+        assert one._scalar.__code__ is two._scalar.__code__
+        assert Sum((Var(), Cos(F(1))))._scalar.__code__ is not one._scalar.__code__
+
+    @pytest.mark.parametrize("pid", PRESET_GS, ids=_preset_label)
+    def test_preset_g_is_freed_without_the_cyclic_collector(self, pid):
+        g = build_preset(pid, 20, Mode.FLOAT).g
+        evaluate_scalar(g, 0.5)
+        ref = weakref.ref(g)
+        gc.disable()
+        try:
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("pid", PRESET_GS, ids=_preset_label)
+    def test_preset_g_equals_the_tree_walk_bit_for_bit(self, pid):
+        # float.hex of the value, or the same error, at 200 y: zeros, subnormals,
+        # negative y and y where exp, sinh and y^m overflow among uniform draws
+        g = build_preset(pid, 20, Mode.FLOAT).g
+        rng = random.Random(21)
+        ys = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 800.0, -800.0, 1e308]
+        ys += [rng.uniform(-1e-308, 1e-308) for _ in range(20)]
+        ys += [rng.uniform(-4.0, 4.0) for _ in range(200 - len(ys))]
+
+        def outcome(fn, y):
+            try:
+                return float.hex(fn(g, y))
+            except (ArithmeticError, ValueError) as exc:
+                return type(exc), str(exc)
+
+        want = [outcome(oracles.float_per_call, y) for y in ys]
+        assert [outcome(evaluate_scalar, y) for y in ys] == want
 
 
 class TestFormatting:
@@ -426,8 +512,8 @@ class TestTreeProperties:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_trees, _any_ys)
     def test_compiled_value_equals_the_tree_walk(self, tree, y):
-        # each node compiles its function of y once; the per-call walk of
-        # tests/oracles.py gives the same float or raises the same error
+        # the tree compiles into one function of y once; the per-call walk
+        # of tests/oracles.py gives the same float or raises the same error
         def outcome(fn):
             try:
                 return repr(fn(tree, y))

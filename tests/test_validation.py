@@ -496,6 +496,99 @@ class TestStageReuse:
         assert len(calls) <= 0.9 * len(generic_calls)
 
 
+def _stops_outcome(integrate, f, stops):
+    """y at each stop from (x, y, y') = (0, 0, 1) at tol=1e-8, as reprs, or
+    the type and message of the error raised."""
+    try:
+        return list(map(repr, integrate(f, 0.0, 0.0, 1.0, stops, 1e-8)))
+    except StepSizeUnderflowError as exc:
+        return type(exc), str(exc)
+
+
+def _oscillator(x, y, dy):
+    return dy, -y
+
+
+CONTROLLER_STOPS = [0.3, 0.7, 1.0, 2.0]
+
+
+class TestStepController:
+    """The error norm max(0.0, ...) and the clamps min(5.0, max(0.2, ...)),
+    written as comparisons in _integrate, against the generic integrator's
+    max/min loop where slopes or error estimates turn NaN, infinite or -0.0:
+    the same floats, or the same error and message."""
+
+    @pytest.mark.parametrize("which", ["y", "dy", "both"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_slopes_that_turn_non_finite(self, value, which):
+        # y'' = -y until x passes 0.55, then ``value`` in place of one slope or both
+        def f(x, y, dy):
+            if x <= 0.55:
+                return dy, -y
+            return (dy if which == "dy" else value), (-y if which == "y" else value)
+
+        want = _stops_outcome(_generic_stops, f, CONTROLLER_STOPS)
+        assert want[0] == "0.2955202066011439" and "nan" in want
+        assert _stops_outcome(validation._integrate, f, CONTROLLER_STOPS) == want
+
+    @pytest.mark.parametrize("errors", [
+        (-0.0, -0.0), (-0.0, None), (None, -0.0), (math.nan, None), (None, math.nan),
+        (math.nan, math.nan), (math.inf, None), (None, -math.inf), (1e-6, None), (None, -1e-300),
+    ], ids=repr)
+    def test_error_estimates_replaced_past_a_point(self, errors, monkeypatch):
+        # past x = 0.4 each step's (ey, ey') reads ``errors``; None keeps the estimate
+        step, generic_step = validation._dopri_step, oracles._dopri_step
+
+        def replaced(x, ey, ed):
+            if x <= 0.4:
+                return ey, ed
+            return tuple(e if r is None else r for e, r in zip((ey, ed), errors))
+
+        def spy(f, x, y, dy, h, k1):
+            y5, d5, ey, ed, k7 = step(f, x, y, dy, h, k1)
+            return (y5, d5, *replaced(x, ey, ed), k7)
+
+        def generic_spy(f, x, y, h):
+            y5, err = generic_step(f, x, y, h)
+            return y5, list(replaced(x, *err))
+
+        monkeypatch.setattr(validation, "_dopri_step", spy)
+        monkeypatch.setattr(oracles, "_dopri_step", generic_spy)
+        want = _stops_outcome(_generic_stops, _oscillator, CONTROLLER_STOPS)
+        assert _stops_outcome(validation._integrate, _oscillator, CONTROLLER_STOPS) == want
+
+
+    @pytest.mark.parametrize("which", ["y", "dy"])
+    def test_a_nan_fifth_order_value_never_sets_the_scale(self, which, monkeypatch):
+        # past x = 0.55 the slopes are NaN, and a step with NaN (y5, y5') gets
+        # the error estimates 1.0 for ``which`` and 0.0 for the other:
+        # max(|y|, |y5|) keeps |y|, so such a step is rejected until the step
+        # size underflows, where a NaN scale would accept it
+        def f(x, y, dy):
+            return (dy, -y) if x <= 0.55 else (math.nan, math.nan)
+
+        def replaced(y5, errors):
+            if math.isnan(y5):
+                return (1.0, 0.0) if which == "y" else (0.0, 1.0)
+            return errors
+
+        step, generic_step = validation._dopri_step, oracles._dopri_step
+
+        def spy(f, x, y, dy, h, k1):
+            y5, d5, ey, ed, k7 = step(f, x, y, dy, h, k1)
+            return (y5, d5, *replaced(y5, (ey, ed)), k7)
+
+        def generic_spy(f, x, y, h):
+            y5, err = generic_step(f, x, y, h)
+            return y5, list(replaced(y5[0], err))
+
+        monkeypatch.setattr(validation, "_dopri_step", spy)
+        monkeypatch.setattr(oracles, "_dopri_step", generic_spy)
+        want = _stops_outcome(_generic_stops, f, CONTROLLER_STOPS)
+        assert want[0] is StepSizeUnderflowError
+        assert _stops_outcome(validation._integrate, f, CONTROLLER_STOPS) == want
+
+
 class TestCompare:
     def test_equal_series_all_zero(self):
         s = rational([1, 0, F(-1, 6)])
