@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from operator import mul
+from types import CodeType, FunctionType
 
 from . import kernels
 from .series import Mode, Number, Record, as_list, coerce, dot, guarded_sum, zero
@@ -40,7 +41,7 @@ class GExpr(Record):
 
     _scalar = cached_property(lambda self: _compile_scalar(self))  # for evaluate_scalar
 
-    def __getstate__(self):  # pickles without the compiled closure, which does not pickle
+    def __getstate__(self):  # pickles without the compiled g, a function, which does not pickle
         return {k: v for k, v in vars(self).items() if k != "_scalar"}
 
 
@@ -197,9 +198,9 @@ def evaluate_scalar(e: GExpr, y: float) -> float:
 
 def _compile_scalar(e: GExpr) -> Callable[[float], float]:
     """g at a float y as one generated function, a statement per node in a tree walk's
-    order and operations.  Each constant goes through float() once, parents first, into an
-    argument (never a node, as the root keeps g) of a factory whose source names node
-    kinds only, so trees that differ in constants alone share one factory, compiled once."""
+    order and operations.  Each constant goes through float() once, parents first, into the
+    function's globals c0, c1, ... (never a node, as the root keeps g); the source names node
+    kinds only, so trees that differ in constants alone share one code object, compiled once."""
     lines, args = [], []
 
     def arg(value) -> str:
@@ -239,14 +240,13 @@ def _compile_scalar(e: GExpr) -> Callable[[float], float]:
         return f"{arg(cls.functions[i])}({s})"
 
     lines.append(f"return {emit(e)}")
-    params, body = ", ".join(f"c{j}" for j in range(len(args))), "\n        ".join(lines)
-    return _factory(f"def factory({params}):\n    def g(y):\n        {body}\n    return g")(*args)
+    namespace = {"Error": kernels.KernelDomainError, **{f"c{j}": v for j, v in enumerate(args)}}
+    return FunctionType(_factory("def g(y):\n    " + "\n    ".join(lines)), namespace)
 
 
 @lru_cache(maxsize=256)
-def _factory(source: str) -> Callable:
-    exec(source, namespace := {"Error": kernels.KernelDomainError})
-    return namespace["factory"]
+def _factory(source: str) -> CodeType:  # the code object of the one def in source
+    return next(c for c in compile(source, "<g>", "exec").co_consts if isinstance(c, CodeType))
 
 
 class Finding(Record):
@@ -293,19 +293,17 @@ def validate_expr(e: GExpr, y0, mode: Mode) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-_KERNEL, _VAR, _CONST, _SCALE, _SUM, _PRODUCT, _EXACT_PRODUCT = range(7)
-
-
 class ExprState:
     """Streaming transform of a whole expression tree.
 
-    The tree is compiled once into slots, children before parents: one
-    coefficient list per distinct subtree, so equal subtrees (and sin/cos
-    or sinh/cosh of one argument, which read the two halves of one paired
-    kernel) are computed once.  An n-ary product becomes a chain of binary
-    products.  Emitted coefficients never change, so G(k) of the root
-    depends on Y(0..k) only, exactly like the raw kernels.  One state
-    serves one solve session; it is not thread-safe.
+    The tree is compiled once, children before parents, into one coefficient
+    list per distinct subtree, so equal subtrees (and sin/cos or sinh/cosh of
+    one argument, which read the two halves of one paired kernel) are
+    computed once.  Kernel leaves read Y alone, so ``advance`` steps the
+    distinct kernels first; then each other list's ``step(k, y_prefix)``
+    gives its entry k, children first (an n-ary product is a chain of binary
+    ones).  Emitted coefficients never change, so G(k) of the root depends on
+    Y(0..k) only.  One state serves one solve session; it is not thread-safe.
     """
 
     def __init__(
@@ -320,7 +318,8 @@ class ExprState:
         self._on_warn = on_warn
         self._stride = _stride  # warning labels name index k as x-space index stride*k
         self.kernel_calls = 0
-        self._steps: list = []  # (op, output list, operand, operand)
+        self._kernels: list = []  # distinct kernels, in the order the tree first reads them
+        self._steps: list = []  # (output list, step)
         # Keys are reprs, not nodes: 1 == 1.0 and 0.0 == -0.0 compare
         # equal but do not compute the same, so they must not share.
         slots: dict = {}
@@ -332,35 +331,43 @@ class ExprState:
         self._root = slots[repr(expr)]
 
     def _compile(self, node: GExpr, slots: dict, kernels_by_args: dict) -> list:
-        """Append the steps that compute ``node`` and return its list."""
+        """Add the kernel or the steps that compute ``node`` and return its list."""
+        mode, z, warn, stride = self.mode, zero(self.mode), self._on_warn, self._stride
         if node.kernel is not None:
             cls, i = node.kernel
             args = node._values()
             key = (cls, repr(args))
             if key not in kernels_by_args:
-                kernels_by_args[key] = cls(*args, self.mode)
-                self._steps.append((_KERNEL, None, kernels_by_args[key], None))
+                kernels_by_args[key] = cls(*args, mode)
+                self._kernels.append(kernels_by_args[key])
             return getattr(kernels_by_args[key], "fg"[i])
         if isinstance(node, Product):
-            left = slots[repr(node.children[0])]
-            op = _EXACT_PRODUCT if self.mode is Mode.RATIONAL else _PRODUCT
-            for child in node.children[1:]:
-                out = as_list(self.mode)
-                self._steps.append((op, out, left, slots[repr(child)]))
-                left = out
-            return left
-        out = as_list(self.mode)
+            def product(a, b) -> list:  # the list of the Cauchy product of a and b
+                if mode is Mode.RATIONAL:  # a rational sum never warns
+                    return self._add(lambda k, y: dot(a, reversed(b), z))
+                return self._add(lambda k, y: guarded_sum(map(mul, a, reversed(b)), z, warn,
+                                 lambda: f"product convolution at index {k * stride}"))
+
+            return reduce(product, (slots[repr(n)] for n in node.children))
         if isinstance(node, Var):
-            step = (_VAR, out, None, None)
+            step = lambda k, y: coerce(y[k], mode)
         elif isinstance(node, Const):
-            step = (_CONST, out, coerce(node.value, self.mode), None)
+            c = coerce(node.value, mode)
+            step = lambda k, y: c if k == 0 else z
         elif isinstance(node, Scale):
-            step = (_SCALE, out, coerce(node.factor, self.mode), slots[repr(node.child)])
+            c, child = coerce(node.factor, mode), slots[repr(node.child)]
+            step = lambda k, y: c * child[k]
         elif isinstance(node, Sum):
-            step = (_SUM, out, [slots[repr(c)] for c in node.children], None)
+            terms = [slots[repr(n)] for n in node.children]
+            step = lambda k, y: guarded_sum(
+                (t[k] for t in terms), z, warn, lambda: f"sum at index {k * stride}")
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        self._steps.append(step)
+        return self._add(step)
+
+    def _add(self, step: Callable) -> list:
+        out = as_list(self.mode)
+        self._steps.append((out, step))
         return out
 
     @property
@@ -371,24 +378,9 @@ class ExprState:
         """Consume Y(0..k) for k == next_index; return G(k) of the root."""
         k = self.next_index
         kernels.check_prefix(y_prefix, k)
-        mode, warn, at = self.mode, self._on_warn, k * self._stride
-        for op, out, a, b in self._steps:
-            if op == _KERNEL:
-                self.kernel_calls += 1
-                a.advance(y_prefix)
-            elif op == _VAR:
-                out.append(coerce(y_prefix[k], mode))
-            elif op == _CONST:
-                out.append(a if k == 0 else zero(mode))
-            elif op == _SCALE:
-                out.append(a * b[k])
-            elif op == _SUM:
-                terms = (c[k] for c in a)
-                out.append(guarded_sum(terms, zero(mode), warn, lambda: f"sum at index {at}"))
-            elif op == _EXACT_PRODUCT:  # a rational sum never warns
-                out.append(dot(a, reversed(b), zero(mode)))
-            else:  # _PRODUCT: the Cauchy product of two slots at index k
-                terms = map(mul, a, reversed(b))
-                out.append(guarded_sum(
-                    terms, zero(mode), warn, lambda: f"product convolution at index {at}"))
+        for kernel in self._kernels:
+            self.kernel_calls += 1
+            kernel.advance(y_prefix)
+        for out, step in self._steps:
+            out.append(step(k, y_prefix))
         return self._root[k]

@@ -287,12 +287,9 @@ def evaluate(s: Series, x) -> Number:
     """Value of the truncated polynomial at ``x`` (Horner scheme); exactly, for
     x = p/q, the integer Horner acc = acc*p + L*Y(k)*q^(N-k) over L*q^N, with
     L*Y(k) the numerators of the series' RationalList over L."""
-    if type(x) is float and s.mode is Mode.FLOAT:  # the integrator's f(x), at every stage
-        xv = x
-    elif isinstance(x, Fraction) and s.mode is Mode.FLOAT:  # stricter than coerce: no rounding
+    if isinstance(x, Fraction) and s.mode is Mode.FLOAT:  # stricter than coerce: no rounding
         raise ModeMismatchError(f"rational scalar {x!r} with a float series")
-    else:
-        xv = coerce(x, s.mode)
+    xv = coerce(x, s.mode)
     if type(xv) is Fraction:
         p, q = xv.numerator, xv.denominator
         ys = s._list

@@ -9,7 +9,8 @@ written out locally so these helpers share no code path with the series
 module; only the integrator's driver evaluates f, and y at the start
 point, through the library, as the code under test does.
 :func:`drive` is not an oracle: it runs a kernel under test over a whole
-coefficient list.
+coefficient list.  :func:`stream_per_node` drives the kernels so, and
+checks only how ExprState composes them.
 """
 
 from fractions import Fraction
@@ -19,6 +20,7 @@ from emdenseries import (
     Const,
     KernelDomainError,
     Log,
+    Mode,
     Power,
     Product,
     Scale,
@@ -43,6 +45,44 @@ def drive(kernel, coeffs):
     ys = list(coeffs)
     out = [kernel.advance(ys[: k + 1]) for k in range(len(ys))]
     return tuple(map(list, zip(*out))) if kernel.paired else out
+
+
+def stream_per_node(e, ys, mode):
+    """G(0..n) of g over Y(0..n) (``ys``), one node at a time and with no list
+    shared between nodes: each kernel leaf drives a fresh kernel, and each
+    sum, and each binary product of an n-ary product's left-to-right chain,
+    is a loop from the mode's zero.  Raises what the first failing kernel
+    leaf, in a walk of the tree, raises."""
+    number = Fraction if mode is Mode.RATIONAL else float
+    if e.kernel is not None:
+        cls, i = e.kernel
+        out = drive(cls(*e._values(), mode), ys)
+        return out[i] if cls.paired else out
+    if isinstance(e, Var):
+        return [number(v) for v in ys]
+    if isinstance(e, Const):
+        return [number(e.value)] + [number(0)] * (len(ys) - 1)
+    if isinstance(e, Scale):
+        return [number(e.factor) * v for v in stream_per_node(e.child, ys, mode)]
+    parts = [stream_per_node(c, ys, mode) for c in e.children]
+    if isinstance(e, Sum):
+        out = []
+        for k in range(len(ys)):
+            acc = number(0)
+            for part in parts:
+                acc += part[k]
+            out.append(acc)
+        return out
+    assert isinstance(e, Product)
+    out = parts[0]
+    for right in parts[1:]:
+        left, out = out, []
+        for k in range(len(ys)):
+            acc = number(0)
+            for r in range(k + 1):
+                acc += left[r] * right[k - r]
+            out.append(acc)
+    return out
 
 
 def fraction_dot(xs, ys, start, weights=None):

@@ -6,7 +6,7 @@ import weakref
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emdenseries import (
@@ -379,7 +379,7 @@ class TestScalarEvaluation:
             evaluate_scalar(e, 1.0)
 
     def test_source_holds_no_constant(self, monkeypatch):
-        # the constants are the factory's arguments, never text in its source
+        # the constants are globals of g, bound by name, never text in its source
         sources, factory = [], expr._factory
 
         def spy(source):
@@ -394,6 +394,15 @@ class TestScalarEvaluation:
         for number in (1234.5678, F(98765, 4321), F(-13, 17), F(51, 7), F(777, 3), F(4321, 9)):
             assert str(number) not in source and repr(float(number)) not in source
         assert "Fraction" not in source and "4321" not in source
+
+    def test_compiled_g_reads_its_constants_from_its_globals(self):
+        # closure cells made compiling quadratic in the number of constants
+        e = Sum((Scale(F(18), Var()), Exp(F(-13, 17)), Log(F(2), F(3))))
+        g = e._scalar
+        assert g.__closure__ is None
+        constants = {v for k, v in g.__globals__.items() if k.startswith("c")}
+        assert constants == {18.0, float(F(-13, 17)), 2.0, 3.0, math.exp, math.log}
+        assert g(0.5) == oracles.float_per_call(e, 0.5)
 
     def test_trees_differing_in_constants_share_one_factory(self):
         # one cached factory, so one code object for every g it makes
@@ -521,6 +530,37 @@ class TestTreeProperties:
                 return type(exc), str(exc)
 
         assert outcome(evaluate_scalar) == outcome(oracles.float_per_call)
+
+
+def _streamed(run, tree, y, mode):
+    """``run(tree, y, mode)``, floats as ``float.hex``, or the type and
+    message of what it raises."""
+    try:
+        return [float.hex(v) if mode is Mode.FLOAT else v for v in run(tree, y, mode)]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestStreamingReference:
+    """ExprState, with its shared lists and kernels, equals the per-node
+    reference of tests/oracles.py at orders 0 to 10."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_trees, st.sampled_from([F(0), F(1)]), st.lists(_coeff, max_size=10))
+    def test_rational_state_equals_the_reference(self, tree, y0, tail):
+        y, mode = [y0, *tail], Mode.RATIONAL
+        want = _streamed(oracles.stream_per_node, tree, y, mode)
+        assert _streamed(run_state, tree, y, mode) == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_trees, _ys, st.lists(st.floats(-4.0, 4.0), max_size=10))
+    # -0.0 terms only at index 1: a sum or product from 0.0 gives 0.0, from -0.0 -0.0
+    @example(Sum((Scale(F(-1), Var()),)), 0.5, [0.0])
+    @example(Product((Scale(F(-1), Var()), Var())), 0.5, [0.0])
+    def test_float_state_equals_the_reference_bit_for_bit(self, tree, y0, tail):
+        y, mode = [y0, *tail], Mode.FLOAT
+        want = _streamed(oracles.stream_per_node, tree, y, mode)
+        assert _streamed(run_state, tree, y, mode) == want
 
 
 class TestFloatSumsAndWarnings:

@@ -39,6 +39,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Series([], Mode.RATIONAL)
 
+    def test_mode_given_by_its_name(self):
+        assert Series([1, F(1, 2)], "rational") == rational([1, F(1, 2)])
+        assert Series([1, 2], "float") == floating([1, 2])
+        with pytest.raises(ValueError, match=r"^'decimal' is not a valid Mode$"):
+            Series([1], "decimal")
+
+    def test_iterates_over_its_coefficients(self):
+        assert list(rational([1, 0, F(-1, 6)])) == [F(1), F(0), F(-1, 6)]
+        assert [*floating([1, 2])] == [1.0, 2.0]
+
     def test_immutable(self):
         s = rational([1, 2])
         with pytest.raises(AttributeError):
