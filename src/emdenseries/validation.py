@@ -16,9 +16,10 @@ cases:
   and interior sign slips of the same kind at x^6 and x^8.
 
 The integrator is a Dormand-Prince 5(4) embedded pair started a little
-off the singular origin, seeded from the series it is checking, so a
-comparison solves once; the seeding error is O(x_start^(N+1)) and far
-below the step tolerance.
+off the singular origin and seeded from the series it is checking, so a
+comparison solves once (the seeding error is O(x_start^(N+1)), far below
+the step tolerance); it runs once to the largest point and interpolates
+the others from the steps that cover them.
 """
 
 from __future__ import annotations
@@ -100,6 +101,9 @@ _A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -
 _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4 = _B1 - 5179 / 57600, _B3 - 7571 / 16695, _B4 - 393 / 640
 _E5, _E6, _E7 = _B5 + 92097 / 339200, _B6 - 187 / 2100, -1 / 40
+# d: the weights (d2 = 0) of the free continuous extension in Hairer's dopri5 (contd5)
+_D1, _D3, _D4 = -12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072
+_D5, _D6, _D7 = 701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423
 
 
 def _same(u, v):
@@ -109,7 +113,8 @@ def _same(u, v):
 
 def _dopri_step(f, x, y, dy, h, k1):
     """One step of (y, y') from k1 = f(x, y, y'): fifth-order values, error
-    estimates, and k7 if stage 7 ran at (x + h, y5, y5') bit for bit, else None.
+    estimates, k7 if stage 7 ran at (x + h, y5, y5') bit for bit, else None, and
+    the y-slopes of stages 1, 3-7 for :func:`_integrate`'s continuous extension.
     Sums run left to right in tableau order; a stage skips its zero weights,
     y5 and y5' keep their two 0.0-weighted terms (they can flip a zero's sign
     or carry a NaN), and the error sums add all seven stages to 0.0."""
@@ -136,50 +141,60 @@ def _dopri_step(f, x, y, dy, h, k1):
     e1, e3, e4, e5, e6, e7 = h * _E1, h * _E3, h * _E4, h * _E5, h * _E6, h * _E7
     ey = 0.0 + e1 * k1y + z * k2y + e3 * k3y + e4 * k4y + e5 * k5y + e6 * k6y + e7 * k7y
     ed = 0.0 + e1 * k1d + z * k2d + e3 * k3d + e4 * k4d + e5 * k5d + e6 * k6d + e7 * k7d
-    return y5, d5, ey, ed, k7 if _same(y7, y5) and _same(d7, d5) else None
+    k7 = k7 if _same(y7, y5) and _same(d7, d5) else None
+    return y5, d5, ey, ed, k7, (k1y, k3y, k4y, k5y, k6y, k7y)
 
 
 def _integrate(f, x, y, dy, stops, tol):
-    """y at each of the increasing ``stops`` from (y, y')' = f(x, y, y'), adaptive
-    from x with local error <= tol; each stretch starts at step min(1e-2, span/10).
+    """y at each of the increasing ``stops``, all past x, from (y, y')' = f(x, y, y'):
+    one adaptive pass to the last stop, local error <= tol, first step min(1e-2, span/10),
+    the final step clipped onto that stop.  A stop at an accepted step's end takes y5,
+    one inside it the step's fourth-order continuous extension (Shampine 1986), y alone.
     k1 is evaluated only when no earlier call gave it: a rejected step reuses its k1,
-    and an accepted one hands on k7 when :func:`_dopri_step` returns it and stage 7
-    ran at the new x."""
-    out, k1 = [], None
-    for x1 in stops:
-        span, steps = x1 - x, 0
-        h = min(1e-2, span / 10) if span > 0 else span
-        while x < x1:
-            last = x + h > x1
-            if last:
-                h = x1 - x
-            if k1 is None:
-                k1 = f(x, y, dy)
-            y5, d5, ey, ed, k7 = _dopri_step(f, x, y, dy, h, k1)
-            # max(0.0, |ey| / (tol + tol * max(|y|, |y5|)), the same for y') and the
-            # clamps spelled out: a later value replaces only if greater (smaller for min)
-            a, b = abs(y), abs(y5)
-            ny = abs(ey) / (tol + tol * (b if b > a else a))
-            a, b = abs(dy), abs(d5)
-            nd = abs(ed) / (tol + tol * (b if b > a else a))
-            norm = ny if ny > 0.0 else 0.0
-            norm = nd if nd > norm else norm
-            if norm <= 1.0:  # x + (x1 - x) can round off x1
-                x, k1 = (x + h, k7) if not last or x + h == x1 else (x1, None)
-                y, dy = y5, d5
-                # min(5.0, max(0.2, ...)): 0 < norm <= 1 puts 0.9 * norm**-0.2 at 0.9 or more
-                factor = 5.0 if norm == 0.0 else 0.9 * norm**-0.2
-                factor = factor if factor < 5.0 else 5.0
-            else:
-                factor = 0.9 * norm**-0.2
-                factor = factor if factor > 0.2 else 0.2
-            h *= factor
-            if x < x1 and h < 1e-14 * (span if span > (a := abs(x)) else a):
-                raise StepSizeUnderflowError(f"step size underflow at x = {x}")
-            steps += 1
-            if steps > 1_000_000:
-                raise StepSizeUnderflowError("step budget exhausted")
-        out.append(y)
+    and an accepted one hands on k7 when :func:`_dopri_step` returns it."""
+    out, k1, x1, points = [], None, max(stops, default=x), iter(stops)
+    p, span, steps = next(points, inf), x1 - x, 0
+    h = min(1e-2, span / 10)
+    while x < x1:
+        last = x + h > x1
+        if last:
+            h = x1 - x
+        if k1 is None:
+            k1 = f(x, y, dy)
+        y5, d5, ey, ed, k7, (s1, s3, s4, s5, s6, s7) = _dopri_step(f, x, y, dy, h, k1)
+        # max(0.0, |ey| / (tol + tol * max(|y|, |y5|)), the same for y') and the
+        # clamps spelled out: a later value replaces only if greater (smaller for min)
+        a, b = abs(y), abs(y5)
+        ny = abs(ey) / (tol + tol * (b if b > a else a))
+        a, b = abs(dy), abs(d5)
+        nd = abs(ed) / (tol + tol * (b if b > a else a))
+        norm = ny if ny > 0.0 else 0.0
+        norm = nd if nd > norm else norm
+        if norm <= 1.0:  # x + (x1 - x) can round off x1
+            x0, x, k1 = x, x1 if last else x + h, k7
+            if p <= x:  # Hairer's contd5 at each stop p the step passed
+                r2 = y5 - y
+                r3 = h * s1 - r2
+                r4 = r2 - h * s7 - r3
+                r5 = h * (_D1 * s1 + _D3 * s3 + _D4 * s4 + _D5 * s5 + _D6 * s6 + _D7 * s7)
+                while p <= x:
+                    t = (p - x0) / h
+                    u = 1 - t
+                    out.append(y5 if p == x else y + t * (r2 + u * (r3 + t * (r4 + u * r5))))
+                    p = next(points, inf)
+            y, dy = y5, d5
+            # min(5.0, max(0.2, ...)): 0 < norm <= 1 puts 0.9 * norm**-0.2 at 0.9 or more
+            factor = 5.0 if norm == 0.0 else 0.9 * norm**-0.2
+            factor = factor if factor < 5.0 else 5.0
+        else:
+            factor = 0.9 * norm**-0.2
+            factor = factor if factor > 0.2 else 0.2
+        h *= factor
+        if x < x1 and h < 1e-14 * (span if span > (a := abs(x)) else a):
+            raise StepSizeUnderflowError(f"step size underflow at x = {x}")
+        steps += 1
+        if steps > 1_000_000:
+            raise StepSizeUnderflowError("step budget exhausted")
     return out
 
 
@@ -190,12 +205,12 @@ def rk_trajectory(problem: EmdenProblem, series: Series, xs: Sequence, tol: floa
     The equation is singular at x = 0, so integration starts at
     x_start = min(1e-3, half the smallest positive point), or 1e-3 when
     no point is positive, with (y, y') read off ``series`` there, then
-    runs through the sorted, de-duplicated points, each stretch of x
-    integrated once; x = 0 gives the problem's y(0).  A negative or NaN
-    point, or a ``tol`` not positive and finite, raises ValueError.  This is
-    an independent check on the series in the only sense available: the
-    trajectory is produced by step-wise quadrature, not by the coefficient
-    recurrence that built the series.
+    runs once to the largest point and reads each other point off the
+    accepted step that covers it; x = 0 gives the problem's y(0).  A
+    negative or NaN point, or a ``tol`` not positive and finite, raises
+    ValueError.  This is an independent check on the series in the only
+    sense available: the trajectory comes from step-wise quadrature, not
+    from the coefficient recurrence that built the series.
     """
     if not 0 < tol < inf:  # NaN fails it too
         raise ValueError(f"tol {tol} must be a positive finite number")

@@ -4,17 +4,20 @@ Everything here recomputes expected values by a route different from the
 code under test: scalar Taylor coefficients of an outer function
 combined with explicit polynomial powers, plain binomial series, a
 direct second-order coefficient recurrence, g(y) by a walk of the tree,
-and the generic n-component Dormand-Prince integrator.  Convolutions are
-written out locally so these helpers share no code path with the series
-module; only the integrator's driver evaluates f, and y at the start
-point, through the library, as the code under test does.
+and the generic n-component Dormand-Prince integrator with its continuous
+extension.  Convolutions are written out locally so these helpers share
+no code path with the series module; only the integrator's driver
+evaluates f, and y at the start point, through the library, as the code
+under test does.
 :func:`drive` is not an oracle: it runs a kernel under test over a whole
 coefficient list.  :func:`stream_per_node` drives the kernels so, and
 checks only how ExprState composes them.
 """
 
 from fractions import Fraction
+import functools
 import math
+import operator
 
 from emdenseries import (
     Const,
@@ -344,8 +347,8 @@ def float_per_call(e, y):
     return cls.functions[i](float(e.alpha) * y)
 
 
-# The generic n-component integrator, kept verbatim as the reference that
-# rk_trajectory's two-float step must match bit for bit.
+# The generic n-component integrator, the reference that rk_trajectory's
+# two-float step and its dense output must match bit for bit.
 
 # Dormand-Prince 5(4) tableau: fifth-order propagation, fourth-order
 # error estimate from the difference of the two weight rows.
@@ -361,9 +364,18 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# The continuous extension's stage weights d1..d7 (Hairer, Norsett & Wanner,
+# Solving ODEs I, II.6; the dopri5 code's contd5), each an exact Fraction
+# rounded to a float once.
+_DP_D = tuple(float(Fraction(n, d)) for n, d in (
+    (-12715105075, 11282082432), (0, 1), (87487479700, 32700410799),
+    (-10690763975, 1880347072), (701980252875, 199316789632),
+    (-1453857185, 822651844), (69997945, 29380423),
+))
 
 
 def _dopri_step(f, x, y, h):
+    """One step: the fifth-order values, the error estimates and the seven stages."""
     ks = []
     for i in range(7):
         yi = list(y)
@@ -378,28 +390,49 @@ def _dopri_step(f, x, y, h):
         for c in range(len(y)):
             y5[c] += h * _DP_B5[i] * ks[i][c]
             err[c] += h * (_DP_B5[i] - _DP_B4[i]) * ks[i][c]
-    return y5, err
+    return y5, err, ks
 
 
-def _integrate(f, x0, y0, x1, tol):
-    """Adaptive integration of y' = f(x, y) from x0 to x1, local error <= tol."""
-    x, y = x0, list(y0)
+def _dense_value(y, ynew, ks, h, t):
+    """Every component at x + t h inside an accepted step of size h from y to
+    ynew with stages ks: the cubic Hermite interpolant of the two ends and
+    their slopes, plus h times the d-weighted stage sum, each term added left
+    to right from the first nonzero weight."""
+    out = []
+    for c in range(len(y)):
+        rise = ynew[c] - y[c]
+        left = h * ks[0][c] - rise
+        right = rise - h * ks[6][c] - left
+        extra = h * functools.reduce(operator.add, [d * k[c] for d, k in zip(_DP_D, ks) if d])
+        out.append(y[c] + t * (rise + (1 - t) * (left + t * (right + (1 - t) * extra))))
+    return out
+
+
+def _integrate(f, x0, y0, stops, tol):
+    """Adaptive integration of y' = f(x, y) from x0 to the last of the
+    increasing ``stops`` (all past x0), local error <= tol; the state at each
+    stop, the end of an accepted step taking its fifth-order value and any
+    other stop the step's continuous extension."""
+    x, y, x1 = x0, list(y0), stops[-1]
     span = x1 - x0
-    h = min(1e-2, span / 10) if span > 0 else span
-    steps = 0
+    h = min(1e-2, span / 10)
+    steps, pending, out = 0, list(stops), []
     while x < x1:
         last = x + h > x1
         if last:
             h = x1 - x
-        ynew, err = _dopri_step(f, x, y, h)
+        ynew, err, ks = _dopri_step(f, x, y, h)
         norm = 0.0
         for c in range(len(y)):
             scale = tol + tol * max(abs(y[c]), abs(ynew[c]))
             norm = max(norm, abs(err[c]) / scale)
         if norm <= 1.0:
             # x + (x1 - x) can round short of x1
-            x = x1 if last else x + h
-            y = ynew
+            xnew = x1 if last else x + h
+            while pending and pending[0] <= xnew:
+                s = pending.pop(0)
+                out.append(ynew if s == xnew else _dense_value(y, ynew, ks, h, (s - x) / h))
+            x, y = xnew, ynew
             factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm**-0.2))
         else:
             factor = max(0.2, 0.9 * norm**-0.2)
@@ -409,18 +442,18 @@ def _integrate(f, x0, y0, x1, tol):
         steps += 1
         if steps > 1_000_000:
             raise StepSizeUnderflowError("step budget exhausted")
-    return y
+    return out
 
 
 def generic_trajectory(problem, series, xs, tol=1e-10):
-    """rk_trajectory through the integrator above: y at each of ``xs``
-    (all positive) from the same seed series and the same start, with
-    f(x) from series.evaluate and g(y) from :func:`float_per_call`."""
+    """rk_trajectory through the integrator above, one pass to the largest
+    point: y at each of ``xs`` (all positive) from the same seed series and
+    the same start, with f(x) from series.evaluate and g(y) from
+    :func:`float_per_call`."""
     targets = [float(x) for x in xs]
     x_start = min(1e-3, min(targets) / 2)
     g = problem.g
     series = series.to_float()
-    reached = x_start
     # y'(x_start) = sum k Y(k) x_start^(k-1), by Horner from the top term
     c = series.coeffs
     dy = (len(c) - 1) * c[-1]
@@ -438,10 +471,6 @@ def generic_trajectory(problem, series, xs, tol=1e-10):
             raise KernelDomainError(f"g(y) overflows at y = {yv} (x = {x})") from None
         return (dyv, -(p / x) * dyv - a * evaluate(f_poly, x) * gv)
 
-    values = {}
-    for xt in sorted(set(targets)):
-        if xt > reached:
-            state = _integrate(rhs, reached, state, xt, tol)
-            reached = xt
-        values[xt] = state[0]
+    stops = sorted(set(targets))
+    values = {xt: state[0] for xt, state in zip(stops, _integrate(rhs, x_start, state, stops, tol))}
     return [values[xt] for xt in targets]

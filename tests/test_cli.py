@@ -344,10 +344,20 @@ class TestCompare:
             assert float(numeric) == pytest.approx(1 - float(x) ** 2 / 6, abs=1e-12)
 
     def test_blow_up_during_integration_exits_2(self, capsys):
-        # with a = -1 the solution -2 ln(1 - x^2) is singular at x = 1; from
-        # the stop at x = 1 the first trial step drives exp(y) past the float range
+        # with a = -1 the solution -2 ln(1 - x^2) is singular at x = 1, and the
+        # steps shrink towards it until they underflow
         code, out, err = run_cli(
             capsys, "compare", "--preset", "example5", "--param", "a=-1",
+            "--order", "2", "--against", "numeric",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: step size underflow at x = 0.99999") and err.count("\n") == 1
+
+    def test_g_past_the_float_range_during_integration_exits_2(self, capsys):
+        # with a = -10^5 the singularity at x = 1/sqrt(10^5) lies inside the
+        # first step, whose trial stages drive exp(y) past the float range
+        code, out, err = run_cli(
+            capsys, "compare", "--preset", "example5", "--param", "a=-100000",
             "--order", "2", "--against", "numeric",
         )
         assert (code, out) == (2, "")

@@ -161,45 +161,45 @@ CASES = [
     # past x = 2; float lane_emden m=1 is left out (its float coefficients are
     # checked against the rational ones in tests/test_solver.py)
     ('numeric_lane_emden_m0', 'compare --preset lane_emden --param m=0 --order 20 --against numeric',
-     0, '9a3b953adb5703d51c4214d41b0800c24eed9d2d7a966f89eaf65ae77e94389d', EMPTY),
+     0, '2495094a7e4ea6f8bd78b5f816a3b2d507c06c6d45016849903340d741637420', EMPTY),
     ('numeric_lane_emden_m0_range', 'compare --preset lane_emden --param m=0 --order 20 --against numeric --range 0:3:1/4 --format csv',
-     0, 'ef4b84c8e2acd447155a647066f39bf684bbd3c09352a6e3eb645eeb033e2136', EMPTY),
+     0, '634ec9a6661f0aff65178d1eef95b5cc4ac19bd3a578226534c5d78b3710d9d1', EMPTY),
     ('numeric_lane_emden_m1_rational', 'compare --preset lane_emden --param m=1 --order 20 --against numeric --mode rational',
-     0, 'a50d9840327b869862820806eb56a706e07d9496fd997196e909261de2cb3e03', EMPTY),
+     0, '93c413bfc7246926f286641aaf05426100eeaa04b97165621b8e0874995969cb', EMPTY),
     ('numeric_lane_emden_m1_rational_range', 'compare --preset lane_emden --param m=1 --order 20 --against numeric --mode rational --range 0:3:1/4 --format csv',
-     0, 'a7c2cfe00950a3b3d1d3b7b244a4e6c59125bc5482b67368ecb6db13894c9aea', EMPTY),
+     0, 'd6e991afee496b28a33f75694faa1bb5b126657a7daa31de74db9399266103ac', EMPTY),
     ('numeric_lane_emden_m3_2', 'compare --preset lane_emden --param m=3/2 --order 20 --against numeric',
-     0, 'd2804271f067331119a7768e266f858c3b3f96468be066b3cc00e4e6858cba04', EMPTY),
+     0, 'cc1d03da208364f33c015d6f1a06c66971506c4cdc218cb57102c08e0895e703', EMPTY),
     ('numeric_lane_emden_m3_2_range', 'compare --preset lane_emden --param m=3/2 --order 20 --against numeric --range 0:3:1/4 --format csv',
-     0, 'b55eb7918d2c7e7ac1dedd991d94e7a6ebdde7a1807f691148ab83b209d818ae', EMPTY),
+     0, '01b5c82ede83f0acb4b81a11fd35cb42ffe2afff53540a012119d2226ac9755e', EMPTY),
     ('numeric_lane_emden_m5', 'compare --preset lane_emden --param m=5 --order 20 --against numeric',
-     0, '8b40803bdb8d31dca80d032b9744b8ae9f2fecd5a6bee21ace15d87a242a11b2', EMPTY),
+     0, '01befc0b7f14b0c3f7d2e0018172823457baf79ba9f624e4c149673e10dc00ea', EMPTY),
     ('numeric_lane_emden_m5_range', 'compare --preset lane_emden --param m=5 --order 20 --against numeric --range 0:3:1/4 --format csv',
-     0, 'd9fa47c0b27fd34db34d57c9b966c2128f601c7e2ae0ef675183d487e1a835dc', EMPTY),
+     0, '69b9ad871b9d5ea5b72e28926ca36e28a419cde1938e1d40a2b97083cade20eb', EMPTY),
     ('numeric_isothermal', 'compare --preset isothermal --order 20 --against numeric',
-     0, '7be53b38a8f7de8127a7aca7f18e0b8fe8c912cedc2dce205b2c4a33634cc5f0', EMPTY),
+     0, '1bf30dc89eee16518b0a8b02856a48cad416cfa70b5f3aaf7f2ea3d85047f034', EMPTY),
     ('numeric_isothermal_range', 'compare --preset isothermal --order 20 --against numeric --range 0:3:1/4 --format csv',
-     0, 'fd578c8a98892323f19e6d6d92eb8def9a34edc305b86197bf48de7d0dfc264c', EMPTY),
+     0, 'e333d9151d4ce5664610ae7e9c07a88e413f7f22f853908e75c3d1f45d7ec659', EMPTY),
     ('numeric_isothermal_rational', 'compare --preset isothermal --order 20 --against numeric --mode rational',
-     0, '838ec130a3613be594aa9bc33793ce9918c18cb132bb49678945530a3c5ef859', EMPTY),
+     0, '5e8c8aa32aa6b304ab9a4cd3ccedc0a6eb946b843cc8683c23f678b4f2ee00a9', EMPTY),
     ('numeric_isothermal_rational_range', 'compare --preset isothermal --order 20 --against numeric --mode rational --range 0:3:1/4 --format csv',
-     0, '15d3471157acbfda1104116e9bd8328abd69be5ef575c56b49083faf9cffc5f4', EMPTY),
+     0, 'b82af9bfd34381b1d9c45f2c94925a31a00dfdb6d3a0c883937bf9cfbeb81b38', EMPTY),
     ('numeric_sinh_case', 'compare --preset sinh_case --order 20 --against numeric',
-     0, '340596b74b7b99031dce52dc10543ad2fd15fc7e3053ca0b8a0ff68bab024bf4', EMPTY),
+     0, 'f5bfb9b2719d485e40a7965943069b73d0936cd510c6b5a351a2e38e6a6ba9a0', EMPTY),
     ('numeric_sinh_case_range', 'compare --preset sinh_case --order 20 --against numeric --range 0:3:1/4 --format csv',
-     0, '3a047ed4e6cd699e8b289ac2b5edf0194ad151403a8d63016d9bb6e243e1f138', EMPTY),
+     0, '2a43f2bc937df2ef1170119d6b8a8d2dc45e2d4a244f98fdd91a901ae4c7801b', EMPTY),
     ('numeric_sin_case', 'compare --preset sin_case --order 20 --against numeric',
-     0, 'c8edef2ba9e4e0d62c9894d07323ae52a56fe6143303ae0b72df3ee2cb021604', EMPTY),
+     0, '87b3f86bfb1ca6dc98d9d170aa3e0ad0823659467206bde3c8e8696b1ca4cd1e', EMPTY),
     ('numeric_sin_case_range', 'compare --preset sin_case --order 20 --against numeric --range 0:3:1/4 --format csv',
-     0, 'f2effca847c2a48043b664e0b96bdd63f0818950ecb3a9f2449ddc4857d01ff0', EMPTY),
+     0, 'e7d051332651ee1c45f91e90cfb44371d9b6f56c84c0f054b37507a27698c659', EMPTY),
     ('numeric_example5', 'compare --preset example5 --param a=1 --order 20 --against numeric',
-     0, 'd67bead9bf07e3c5dc5beb44a34368fc993500be57ae3c6d97c320a622643876', EMPTY),
+     0, '8465a72ffff9941e4cc4e25e819a017570125ee8b19b63c58c0f22bccdf85a94', EMPTY),
     ('numeric_example5_range', 'compare --preset example5 --param a=1 --order 20 --against numeric --range 0:3:1/4 --format csv',
-     0, 'c6002ec1cb978833f185f1399124ed124bed23f14092406f71fb2f02dffbe92f', EMPTY),
+     0, '8aadc547c99273dec6375bab3a05356f9c1225ad1e9cdb37d50d2175fea00883', EMPTY),
     ('numeric_example6', 'compare --preset example6 --param a=1 --order 20 --against numeric',
-     0, '690334f3e3d38588bd44b5f47724b2e16480044a4c3e60f6184522b455fab52e', EMPTY),
+     0, 'f01a38c1f4480a1a531508ba06222b18d4fbb86dc3635d885c1ec81542f693da', EMPTY),
     ('numeric_example6_range', 'compare --preset example6 --param a=1 --order 20 --against numeric --range 0:3:1/4 --format csv',
-     0, 'ed7b8f9ecfe81a143c2048eef96a151c2648e2352cdff7539097084b7a1fe46e', EMPTY),
+     0, '8dedc64bc32028b87adda45066f4ec9beef97c8d7c523dbb7614eb1f9f0d9c54', EMPTY),
 ]
 
 
