@@ -30,7 +30,7 @@ from operator import mul
 from types import CodeType, FunctionType
 
 from . import kernels
-from .series import Mode, Number, Record, as_list, coerce, dot, guarded_sum, zero
+from .series import Mode, Number, Record, as_list, coerce, dot_numerator, guarded_sum, zero
 
 
 class GExpr(Record):
@@ -302,8 +302,10 @@ class ExprState:
     computed once.  Kernel leaves read Y alone, so ``advance`` steps the
     distinct kernels first; then each other list's ``step(k, y_prefix)``
     gives its entry k, children first (an n-ary product is a chain of binary
-    ones).  Emitted coefficients never change, so G(k) of the root depends on
-    Y(0..k) only.  One state serves one solve session; it is not thread-safe.
+    ones), in integers when exact, normalised once on append: the steps are
+    chosen per mode when the state is built.  Emitted coefficients never
+    change, so G(k) of the root depends on Y(0..k) only.  One state serves
+    one solve session; it is not thread-safe.
     """
 
     def __init__(
@@ -343,8 +345,9 @@ class ExprState:
             return getattr(kernels_by_args[key], "fg"[i])
         if isinstance(node, Product):
             def product(a, b) -> list:  # the list of the Cauchy product of a and b
-                if mode is Mode.RATIONAL:  # a rational sum never warns
-                    return self._add(lambda k, y: dot(a, reversed(b), z))
+                if mode is Mode.RATIONAL:  # one integer sum, which never warns
+                    return self._add(lambda k, y: Fraction(dot_numerator(a, reversed(b)),
+                                                           a.den * b.den))
                 return self._add(lambda k, y: guarded_sum(map(mul, a, reversed(b)), z, warn,
                                  lambda: f"product convolution at index {k * stride}"))
 
@@ -356,11 +359,20 @@ class ExprState:
             step = lambda k, y: c if k == 0 else z
         elif isinstance(node, Scale):
             c, child = coerce(node.factor, mode), slots[repr(node.child)]
-            step = lambda k, y: c * child[k]
+            step = ((lambda k, y: Fraction(c.numerator * (v := child[k]).numerator,
+                                           c.denominator * v.denominator))
+                    if mode is Mode.RATIONAL else lambda k, y: c * child[k])
         elif isinstance(node, Sum):
             terms = [slots[repr(n)] for n in node.children]
-            step = lambda k, y: guarded_sum(
-                (t[k] for t in terms), z, warn, lambda: f"sum at index {k * stride}")
+            if mode is Mode.RATIONAL:  # added as integers
+                def step(k, y):
+                    num, den = 0, 1
+                    for v in (t[k] for t in terms):
+                        num, den = num * v.denominator + v.numerator * den, den * v.denominator
+                    return Fraction(num, den)
+            else:
+                step = lambda k, y: guarded_sum(
+                    (t[k] for t in terms), z, warn, lambda: f"sum at index {k * stride}")
         else:
             raise TypeError(f"not an expression node: {node!r}")
         return self._add(step)

@@ -8,12 +8,13 @@ for the trigonometric pairs, the partner G) against the Y prefix.  They
 follow from differentiating f(y(x)) once and transforming the resulting
 first-order identity, e.g. for f = y^m from  y f' = m f y'.
 
-Differentiating leaves a weight r on each term ((m+1) r - k for y^m),
-so each kernel keeps a list, one entry appended per index: r Y(r) (the
-pairs, and exp in float mode), r F(r) (ln) or (m+1) r (y^m).  Float
-convolutions are then plain left-to-right float loops: exp and ln call
-:func:`series.dot`; y^m and the pairs (both sums in one pass) loop here.
-Rational exp passes the weights r to :func:`series.dot` instead.
+Differentiating leaves a weight r on each term ((m+1) r - k for y^m).
+A float kernel keeps a list, one entry appended per index: r Y(r) (exp
+and the pairs), r F(r) (ln) or (m+1) r (y^m), so its convolutions are
+plain left-to-right float loops: exp and ln call :func:`series.dot`; y^m
+and the pairs (both sums in one pass) loop here.  An exact kernel passes
+integer weights to :func:`series.dot_numerator` and folds the scalars
+(alpha, 1/k, 1/Y(0), 1/d) into one integer ratio, normalised once.
 
 Because F(k) depends on Y(0..k) only, a solver may interleave kernel
 steps with the recurrence that produces Y itself; that causality is the
@@ -40,7 +41,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import sub
 
-from .series import Mode, as_list, coerce, dot, zero
+from .series import Mode, as_list, coerce, dot, dot_numerator, zero
 
 
 class KernelDomainError(ValueError):
@@ -89,7 +90,9 @@ def _exact_rational_power(base: Fraction, exponent: Fraction) -> Fraction:
 
 
 class Kernel:
-    """Base for the streaming transforms: grows F(0..k) one index per call."""
+    """Base for the streaming transforms: grows F(0..k) one index per call,
+    F(0) by ``_first(y0)``, the rest by ``_step`` (floats) or ``_exact_step``
+    (a RationalList); a pair returns (F, G) from each."""
 
     paired = False
     functions: tuple = ()  # scalar f (and g for a pair) of the seed argument
@@ -103,25 +106,24 @@ class Kernel:
         """Consume Y(0..k), k the number of F values so far, and return F(k).
 
         Earlier entries of the prefix must not change between calls,
-        because kernels read them again: Power, Log and rational Exp read
-        Y(1..k) on every call, and float Exp and the sin/cos and sinh/cosh
-        pairs keep r*Y(r) from earlier calls.  Causality holds because F(k)
-        reads only Y(0..k).
+        because kernels read them again: Power, Log and every exact kernel
+        read Y(1..k) on every call, and float Exp and the sin/cos and
+        sinh/cosh pairs keep r*Y(r) from earlier calls.  Causality holds
+        because F(k) reads only Y(0..k).
         """
         k = len(self.f)
         check_prefix(y_prefix, k)
         if self.mode is Mode.RATIONAL:
             y_prefix = as_list(self.mode, y_prefix)  # rejects a float prefix
+            step = self._exact_step
         else:
             coerce(y_prefix[k], self.mode)  # reject non-numbers early
-        value = self._step(k, y_prefix)
+            step = self._step
+        value = step(k, y_prefix) if k else self._first(coerce(y_prefix[0], self.mode))
+        if self.paired:
+            self.g.append(value[1])
         self.f.append(value[0] if self.paired else value)
         return value
-
-    def _step(self, k, y):
-        """F(k) from Y(0..k); paired kernels return (F(k), G(k)) and
-        record G(k) themselves."""
-        raise NotImplementedError
 
     def _seed(self, s, exact_at, need: str) -> list:
         """F(0) (and G(0)) at the seed argument s: each of ``functions``
@@ -164,34 +166,38 @@ class PowerKernel(Kernel):
         self._powers = None  # repeated-product fallback state
         self._mr = []  # (m+1) r, r = 1..k; exactly, m = P/Q: (P+Q) r over Q
 
-    def _step(self, k, y):
-        m = self.exponent
-        if k == 0:
-            self._y0 = y0 = coerce(y[0], self.mode)
-            mi = self._int_exponent
-            if mi is not None and mi >= 0:
-                if y0 == 0 or mi <= 1:
-                    # y^m stays regular at a zero seed, and y^0, y^1 need no recurrence
-                    # (for m = 1 its terms cancel in pairs): convolve m copies of Y.
-                    self._powers = [as_list(self.mode, [y0**j]) for j in range(mi + 1)]
-                return y0**mi
-            if y0 <= 0:
-                raise KernelDomainError(f"y^({m}) needs Y(0) > 0, got Y(0) = {y0}")
-            if self.mode is Mode.RATIONAL:
-                return _exact_rational_power(y0, self.exponent)
-            return y0**m
+    def _first(self, y0):
+        m, mi = self.exponent, self._int_exponent
+        self._y0 = y0
+        if mi is not None and mi >= 0:
+            if y0 == 0 or mi <= 1:
+                # y^m stays regular at a zero seed, and y^0, y^1 need no recurrence
+                # (for m = 1 its terms cancel in pairs): convolve m copies of Y.
+                self._powers = [as_list(self.mode, [y0**j]) for j in range(mi + 1)]
+            return y0**mi
+        if y0 <= 0:
+            raise KernelDomainError(f"y^({m}) needs Y(0) > 0, got Y(0) = {y0}")
+        if self.mode is Mode.RATIONAL:
+            return _exact_rational_power(y0, m)
+        return y0**m
+
+    def _step(self, k, y):  # weights (m+1) r - k
+        if self._powers is not None:
+            return self._fallback_step(k, y)
+        self._mr.append(self._weight[0] * k)
+        acc = 0.0
+        for t, x, f in zip(self._mr, y[1:], reversed(self.f)):
+            acc += (t - k) * x * f
+        return acc / (k * self._y0)
+
+    def _exact_step(self, k, y):  # integer weights (P+Q) r - Q k over Q Y(0) k
         if self._powers is not None:
             return self._fallback_step(k, y)
         top, q = self._weight
         self._mr.append(top * k)
-        if self.mode is Mode.RATIONAL:  # integer weights (P+Q) r - Q k over Q
-            weights = map(sub, self._mr, repeat(q * k))
-            acc = dot(y[1 : k + 1], reversed(self.f), zero(self.mode), weights)
-        else:  # weights (m+1) r - k
-            acc = 0.0
-            for t, x, f in zip(self._mr, y[1:], reversed(self.f)):
-                acc += (t - k) * x * f
-        return acc / (q * k * self._y0)
+        total = dot_numerator(y[1 : k + 1], reversed(self.f), map(sub, self._mr, repeat(q * k)))
+        y0 = self._y0
+        return Fraction(total * y0.denominator, y.den * self.f.den * q * k * y0.numerator)
 
     def _fallback_step(self, k, y):
         mi = self._int_exponent
@@ -219,16 +225,16 @@ class ExpKernel(Kernel):
         self.alpha = coerce(alpha, mode)
         self._dy = []  # float mode: r Y(r), r = 1..k
 
+    def _first(self, y0):
+        return self._seed(self.alpha * y0, 0, "alpha*Y(0) == 0")[0]
+
     def _step(self, k, y):
-        if k == 0:
-            s = self.alpha * coerce(y[0], self.mode)
-            return self._seed(s, 0, "alpha*Y(0) == 0")[0]
-        if self.mode is Mode.RATIONAL:  # a list would normalise a Fraction k*Y(k) per step
-            acc = dot(y[1 : k + 1], reversed(self.f), zero(self.mode), range(1, k + 1))
-        else:
-            self._dy.append(k * y[k])
-            acc = dot(self._dy, reversed(self.f), 0.0)
-        return self.alpha * acc / k
+        self._dy.append(k * y[k])
+        return self.alpha * dot(self._dy, reversed(self.f), 0.0) / k
+
+    def _exact_step(self, k, y):  # the weights r on Y(r)
+        a, total = self.alpha, dot_numerator(y[1 : k + 1], reversed(self.f), range(1, k + 1))
+        return Fraction(a.numerator * total, a.denominator * k * y.den * self.f.den)
 
 
 class LogKernel(Kernel):
@@ -248,21 +254,25 @@ class LogKernel(Kernel):
         self.alpha = coerce(alpha, mode)
         self.beta = coerce(beta, mode)
         self._d = None
-        self._df = as_list(mode)  # r F(r), r = 1..k-1
+        self._df = []  # float mode: r F(r), r = 1..k-1
+
+    def _first(self, y0):
+        self._d = d = self.alpha * y0 + self.beta
+        if d <= 0:
+            raise KernelDomainError(f"ln argument alpha*Y(0)+beta = {d} is not positive")
+        return self._seed(d, 1, "alpha*Y(0)+beta == 1")[0]
 
     def _step(self, k, y):
-        if k == 0:
-            d = self.alpha * coerce(y[0], self.mode) + self.beta
-            if d <= 0:
-                raise KernelDomainError(
-                    f"ln argument alpha*Y(0)+beta = {d} is not positive"
-                )
-            self._d = d
-            return self._seed(d, 1, "alpha*Y(0)+beta == 1")[0]
-        acc = dot(self._df, y[k - 1 : 0 : -1], zero(self.mode))
+        acc = dot(self._df, y[k - 1 : 0 : -1], 0.0)
         fv = self.alpha * (y[k] - acc / k) / self._d
         self._df.append(k * fv)
         return fv
+
+    def _exact_step(self, k, y):  # alpha (k Y(k) - sum r F(r) Y(k-r)) / (k d), weights r
+        f, a, d = self.f, self.alpha, self._d
+        total = dot_numerator(f[1:], y[k - 1 : 0 : -1], range(1, k))
+        return Fraction(a.numerator * d.denominator * (k * f.den * y.nums[k] - total),
+                        a.denominator * d.numerator * k * f.den * y.den)
 
 
 class _CircularKernel(Kernel):
@@ -284,26 +294,24 @@ class _CircularKernel(Kernel):
         super().__init__(mode)
         self.alpha = coerce(alpha, mode)
         self.g = as_list(mode)
-        self._dy = as_list(mode)  # r Y(r), r = 1..k
+        self._dy = []  # float mode: r Y(r), r = 1..k
+
+    def _first(self, y0):
+        return tuple(self._seed(self.alpha * y0, 0, "alpha*Y(0) == 0"))
 
     def _step(self, k, y):
-        if k == 0:
-            s = self.alpha * coerce(y[0], self.mode)
-            fv, gv = self._seed(s, 0, "alpha*Y(0) == 0")
-        else:
-            self._dy.append(k * y[k])
-            w = reversed(self._dy)  # (k-r) Y(k-r), r = 0..k-1
-            if self.mode is Mode.RATIONAL:
-                fs, gs = dot(w, self.g, zero(self.mode)), dot(w, self.f, zero(self.mode))
-            else:  # both sums in one pass
-                fs = gs = 0.0
-                for d, fr, gr in zip(w, self.f, self.g):
-                    fs += d * gr
-                    gs += d * fr
-            fv = self.alpha * fs / k
-            gv = self._sign * self.alpha * gs / k
-        self.g.append(gv)
-        return fv, gv
+        self._dy.append(k * y[k])
+        fs = gs = 0.0
+        for d, fr, gr in zip(reversed(self._dy), self.f, self.g):  # (k-r) Y(k-r), r = 0..k-1
+            fs += d * gr  # both sums in one pass
+            gs += d * fr
+        return self.alpha * fs / k, self._sign * self.alpha * gs / k
+
+    def _exact_step(self, k, y):  # the weights k - r on Y(k-r), r = 0..k-1
+        ys, w, a = y[k:0:-1], range(k, 0, -1), self.alpha
+        den = a.denominator * k * y.den
+        return (Fraction(a.numerator * dot_numerator(ys, self.g, w), den * self.g.den),
+                Fraction(self._sign * a.numerator * dot_numerator(ys, self.f, w), den * self.f.den))
 
 
 class SinCosKernel(_CircularKernel):

@@ -8,15 +8,15 @@ highest power N (the *order*), so that
 
 Products are truncating: the product of order-N series is an order-N
 series and terms above x^N are dropped.  Callers that need more headroom
-pad first (see :meth:`Series.pad`).  Exact convolutions and the Exp
-and Log kernels go through :func:`dot`; float Power and the paired
-kernels fuse their own loops.  The float sums and products of
+pad first (see :meth:`Series.pad`).  Each exact convolution is one
+integer sum, :func:`dot_numerator`; float Power and the paired kernels
+fuse their own loops.  The float sums and products of
 :class:`emdenseries.expr.ExprState` and the recurrence's forcing sum go
 through :func:`guarded_sum`, which reports cancellation.  Every float
 sum runs left to right from 0.0.  Rational lists hold integer
-numerators over one running denominator (Knuth, TAOCP vol. 2, 4.5.1),
-so :func:`dot` and :func:`evaluate` are each one integer sum, normalised
-once; Fractions are canonical, so the values do not change.
+numerators over one running denominator (Knuth, TAOCP vol. 2, 4.5.1):
+an exact step forms its value from integers and normalises it once, on
+append, and :func:`evaluate` is one integer sum.  Fractions are canonical.
 
 Two coefficient modes exist and are never mixed silently:
 
@@ -216,17 +216,18 @@ class Series(Record):
     coeffs: tuple
     mode: Mode
 
-    def __init__(self, coeffs: Sequence, mode: Mode):
+    def __init__(self, coeffs: Sequence, mode: Mode, _list=None):
         if isinstance(mode, str):
             mode = Mode(mode)
-        listed = as_list(mode, coeffs)
-        values = tuple(listed)
+        if _list is None:  # else a solve's canonical values and the RationalList holding them
+            coeffs = _list = as_list(mode, coeffs)
+        values = tuple(coeffs)
         if not values:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", values)
         object.__setattr__(self, "mode", mode)
         # what dot and evaluate take; a caller's RationalList may still grow
-        object.__setattr__(self, "_list", values if mode is Mode.FLOAT else listed[:])
+        object.__setattr__(self, "_list", values if mode is Mode.FLOAT else _list[:])
 
     @property
     def order(self) -> int:
@@ -262,20 +263,26 @@ class Series(Record):
         return Series(coeffs, Mode.FLOAT)
 
 
+def dot_numerator(xs, ys, weights=None):
+    """:func:`dot` of two RationalLists from 0, times ``xs.den * ys.den``: one
+    sum over their numerators, an int for int weights."""
+    return sum(map(mul, xs.nums if weights is None else map(mul, weights, xs.nums), ys.nums))
+
+
 def dot(xs, ys, start: Number, weights=None) -> Number:
     """``start + x0*y0 + x1*y1 + ...``, or with ``weights`` (exactly
     only) each term ``(w*x)*y``, accumulated left to right and stopping
     at the shortest input.
 
-    Exact convolutions, the Exp and Log kernels and integer powers'
-    products call it.  Callers pass :func:`zero` as ``start``; starting
-    from the first term instead would turn a sum of -0.0 terms into -0.0
-    rather than 0.0.  A Fraction ``start`` takes RationalLists
-    (:func:`as_list`) and int or Fraction weights.
+    The float Exp and Log kernels and integer powers' products call it.
+    Callers pass :func:`zero` as ``start``; starting from the first term
+    instead would turn a sum of -0.0 terms into -0.0 rather than 0.0.  A
+    Fraction ``start`` takes RationalLists (:func:`as_list`) and int or
+    Fraction weights, and normalises :func:`dot_numerator` once.
     """
     if type(start) is Fraction:  # not isinstance: a check against the ABC slows every float dot
         den, start_den = xs.den * ys.den, start.denominator
-        total = sum(map(mul, xs.nums if weights is None else map(mul, weights, xs.nums), ys.nums))
+        total = dot_numerator(xs, ys, weights)
         return Fraction(total * start_den + start.numerator * den, den * start_den)
     acc = start
     for x, y in zip(xs, ys):
@@ -320,7 +327,7 @@ def guarded_sum(
     ``_CANCELLATION_LIMIT`` times the final sum, most leading digits
     cancelled and the result has lost precision; ``on_warn`` receives one
     message, named by ``label()``, which runs only then.  No compensated
-    summation is attempted.  Rational sums are exact and never warn.
+    summation is attempted.  Rational sums never warn (the solver adds its own as integers).
     """
     total = start
     largest = 0.0

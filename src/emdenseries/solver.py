@@ -14,7 +14,8 @@ and Y(1) and everything above follows.  Because XF(0) = 0, the sum only
 ever touches G(0..k-1), which is computable from Y(0..k-1): the
 recurrence is causal and runs in a single pass.  The sum runs over the
 nonzero XF only (one term per step when f = 1), and
-:func:`residual_series` reuses the same step.
+:func:`residual_series` reuses the same step.  Exactly, Y(k+1) is one
+integer ratio, normalised once, and the Series keeps that Fraction.
 
 When f is even (every odd coefficient zero, as for every preset), so is
 the solution, y(x) = u(t) with t = x^2, and :func:`solve` runs the
@@ -36,9 +37,11 @@ step can fail.  Both are checked once, when the problem is built.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .expr import ExprState
 from .problem import EmdenProblem
-from .series import OrderMismatchError, Record, Series, as_list, guarded_sum, zero
+from .series import Mode, OrderMismatchError, Record, Series, as_list, guarded_sum, zero
 
 
 class SolveReport(Record):
@@ -55,27 +58,42 @@ class SolveReport(Record):
     kernel_calls: int
 
 
-def _forcing_support(problem: EmdenProblem) -> list:
-    """(r, XF(r)) for the nonzero coefficients of x*f(x), r ascending."""
-    return [(r, c) for r, c in enumerate(problem.f_poly.coeffs, start=1) if c != 0]
+def _forcing(problem: EmdenProblem, solving: bool, on_warn=None):
+    """forcing(g, k, stride): the sum  S(k) = sum_{1<=r<=k} XF(r) G(k-r)  over
+    the nonzero XF (empty at k = 0), G(j) = g[j // stride], times
+    -a/((k+1)(k+p)) when ``solving`` (that is Y(k+1)), else times a (the
+    residual's term).  Exactly, one integer ratio, normalised once."""
+    a, p = problem.a, problem.p
+    support = [(r, c) for r, c in enumerate(problem.f_poly.coeffs, start=1) if c != 0]
+    if problem.mode is Mode.FLOAT:
+        def forcing(g, k, stride):
+            s = guarded_sum((c * g[(k - r) // stride] for r, c in support if r <= k), 0.0,
+                            on_warn, lambda: f"recurrence step k={k}")
+            return -a * s / ((k + 1) * (k + p)) if solving else a * s
+        return forcing
+
+    def exact(g, k, stride):
+        num, den = 0, 1
+        for r, c in support:
+            if r <= k:
+                v = g[(k - r) // stride]
+                vd = c.denominator * v.denominator
+                num, den = num * vd + c.numerator * v.numerator * den, den * vd
+        if solving:  # (k+1)(k+p) = (k+1)(k pd + pn) / pd
+            num, den = -num * p.denominator, den * (k + 1) * (k * p.denominator + p.numerator)
+        return Fraction(a.numerator * num, a.denominator * den)
+
+    return exact
 
 
-def _step(state: ExprState, g: list, y, k: int, support, stride=1, on_warn=None):
+def _step(state: ExprState, g: list, y, k: int, forcing, stride=1):
     """One recurrence step at x-space index k, with the kernels over
     W(j) = Y(stride*j): append G(k-1), which needs only Y(0..k-1), to ``g``
-    (as its entry (k-1)/stride) and return the forcing sum
-
-        sum_{1<=r<=k} XF(r) G(k-r)
-
-    over the nonzero XF (the sum is empty at k = 0)."""
+    (as its entry (k-1)/stride) and return the forcing term of
+    :func:`_forcing`."""
     if k > 0:
         g.append(state.advance(y[:k:stride]))
-    return guarded_sum(
-        (c * g[(k - r) // stride] for r, c in support if r <= k),
-        zero(state.mode),
-        on_warn,
-        lambda: f"recurrence step k={k}",
-    )
+    return forcing(g, k, stride)
 
 
 def _recurrence(problem: EmdenProblem, stride: int) -> SolveReport:
@@ -84,22 +102,18 @@ def _recurrence(problem: EmdenProblem, stride: int) -> SolveReport:
     Stride 1 is every step.  Stride 2 needs an even f: it takes the odd
     steps k only, and gives each odd Y(k+1) the value of its skipped
     step k, whose sum has zeros only."""
-    mode, a, p, n = problem.mode, problem.a, problem.p, problem.order
-    warnings: list = []
+    mode, warnings, g = problem.mode, [], []
     state = ExprState(problem.g, mode, on_warn=warnings.append, _stride=stride)
-    support = _forcing_support(problem)
+    forcing = _forcing(problem, True, warnings.append)
     y = as_list(mode, [problem.y0, problem.dy0])
-    g: list = []
-    minus_a = -a
-    skipped = minus_a * zero(mode)  # divided by (k+1)(k+p) > 0, still this zero
-    for k in range(1, n):
-        if stride == 2 and k % 2 == 0:
-            y.append(skipped)
-        else:
-            conv = _step(state, g, y, k, support, stride, warnings.append)
-            y.append(minus_a * conv / ((k + 1) * (k + p)))
+    values = list(y)  # Y(k) as appended: each exact one normalised once
+    skipped = -problem.a * zero(mode)  # divided by (k+1)(k+p) > 0, still this zero
+    for k in range(1, problem.order):
+        v = skipped if stride == 2 and k % 2 == 0 else _step(state, g, y, k, forcing, stride)
+        y.append(v)
+        values.append(v)
     return SolveReport(
-        series=Series(y, mode),
+        series=Series(values, mode, y),
         problem=problem,
         warnings=tuple(warnings),
         kernel_calls=state.kernel_calls,
@@ -139,15 +153,12 @@ def residual_series(problem: EmdenProblem, series: Series) -> Series:
         )
     if series.mode is not problem.mode:
         raise ValueError(f"candidate is {series.mode}, problem is {problem.mode}")
-    n = problem.order
+    n, p = problem.order, problem.p
     y = as_list(problem.mode, series.coeffs)
-    support = _forcing_support(problem)
+    forcing = _forcing(problem, False)
     state = ExprState(problem.g, problem.mode)
-    g: list = []
-    a = problem.a
-    p = problem.p
-    out = []
+    g, out = [], []
     for k in range(n + 1):
         ynext = y[k + 1] if k < n else zero(problem.mode)
-        out.append((k + 1) * (k + p) * ynext + a * _step(state, g, y, k, support))
+        out.append((k + 1) * (k + p) * ynext + _step(state, g, y, k, forcing))
     return Series(out, problem.mode)

@@ -207,8 +207,8 @@ def rk_trajectory(problem: EmdenProblem, series: Series, xs: Sequence, tol: floa
     no point is positive, with (y, y') read off ``series`` there, then
     runs once to the largest point and reads each other point off the
     accepted step that covers it; x = 0 gives the problem's y(0).  A
-    negative or NaN point, or a ``tol`` not positive and finite, raises
-    ValueError.  This is an independent check on the series in the only
+    negative, infinite or NaN point, or a ``tol`` not positive and
+    finite, raises ValueError.  This is an independent check on the series in the only
     sense available: the trajectory comes from step-wise quadrature, not
     from the coefficient recurrence that built the series.
     """
@@ -218,6 +218,8 @@ def rk_trajectory(problem: EmdenProblem, series: Series, xs: Sequence, tol: floa
     for x in targets:
         if not x >= 0:  # NaN fails it too
             raise ValueError(f"x_target {x} must be >= 0")
+        if x == inf:
+            raise ValueError(f"x_target {x} must be finite")
     x_start = min(1e-3, min((x for x in targets if x > 0), default=1.0) / 2)
     g = problem.g
     series = series.to_float()

@@ -3,7 +3,8 @@
 Everything here recomputes expected values by a route different from the
 code under test: scalar Taylor coefficients of an outer function
 combined with explicit polynomial powers, plain binomial series, a
-direct second-order coefficient recurrence, g(y) by a walk of the tree,
+direct second-order coefficient recurrence, the exact recurrence of any
+problem over plain lists of Fractions, g(y) by a walk of the tree,
 and the generic n-component Dormand-Prince integrator with its continuous
 extension.  Convolutions are written out locally so these helpers share
 no code path with the series module; only the integrator's driver
@@ -189,10 +190,21 @@ def power_outer(m, y0, jmax):
         elif isinstance(m, int) or (isinstance(m, Fraction) and m.denominator == 1):
             e = int(m) - j
             out.append(b * (Fraction(y0) ** e if y0 != 0 or e >= 0 else Fraction(0)))
-        else:
-            assert y0 == 1, "exact non-integer powers only tabulated around 1"
-            out.append(b)
+        else:  # m = P/Q at a y0 with an exact Q-th root: y0**(m-j) = root**(P-Qj)
+            q = m.denominator
+            root = Fraction(_floor_root(Fraction(y0).numerator, q), _floor_root(Fraction(y0).denominator, q))
+            assert root**q == y0, "exact non-integer powers need an exact root of y0"
+            out.append(b * root ** (m.numerator - q * j))
     return out
+
+
+def _floor_root(n, q):
+    """The largest integer r >= 0 with r**q <= n, by bisection."""
+    lo, hi = 0, 1 << (n.bit_length() // q + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**q <= n else (lo, mid - 1)
+    return lo
 
 
 def exp_outer(alpha, y0, jmax):
@@ -263,6 +275,44 @@ def compose_fn(kind, params, y, order):
         "cosh": lambda: cosh_outer(params["alpha"], y[0], order),
     }[kind]()
     return compose(outer, y, order)
+
+
+def exact_tree(e, ys):
+    """G(0..n) of g over the Fractions ``ys`` = Y(0..n) by a walk of the tree
+    over plain lists: each kernel leaf by :func:`compose_fn`, sums and scalar
+    multiples entry by entry, products by :func:`conv`."""
+    n = len(ys) - 1
+    if isinstance(e, Var):
+        return list(ys)
+    if isinstance(e, Const):
+        return [Fraction(e.value)] + [Fraction(0)] * n
+    if isinstance(e, Scale):
+        return [e.factor * v for v in exact_tree(e.child, ys)]
+    if isinstance(e, (Sum, Product)):
+        parts = [exact_tree(c, ys) for c in e.children]
+        if isinstance(e, Sum):
+            return [sum(column, Fraction(0)) for column in zip(*parts)]
+        return functools.reduce(lambda left, right: conv(left, right, n), parts)
+    params = {"m": e.exponent} if isinstance(e, Power) else dict(zip(("alpha", "beta"), e._values()))
+    return compose_fn(type(e).__name__.lower(), params, ys, n)
+
+
+def plain_solve(problem):
+    """Y(0..N) of an exact problem by its x-multiplied recurrence, every step
+    in x, over plain lists of Fractions:
+
+        Y(k+1) = -a / ((k+1)(k+p)) * sum_{r=1..k} f(r-1) G(k-r),
+
+    with G(0..k-1) recomputed by :func:`exact_tree` over Y(0..k-1) at each
+    step."""
+    a, p = Fraction(problem.a), Fraction(problem.p)
+    f = [Fraction(c) for c in problem.f_poly.coeffs]
+    ys = [Fraction(problem.y0), Fraction(problem.dy0)]
+    for k in range(1, problem.order):
+        gs = exact_tree(problem.g, ys[:k])
+        total = sum((f[r - 1] * gs[k - r] for r in range(1, min(k, len(f)) + 1)), Fraction(0))
+        ys.append(-a * total / ((k + 1) * (k + p)))
+    return ys[: problem.order + 1]
 
 
 # --- closed-form Taylor series of the benchmark solutions -------------------

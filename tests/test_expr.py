@@ -224,6 +224,43 @@ class TestProductNode:
         assert run_state(Product(factors), y) == run_state(nested, y)
 
 
+class TestExactSteps:
+    """Exact ExprState steps build each entry from integers and normalise it
+    once, on append: checked for signs and denominators against the per-node
+    oracle and against the tree walk with every leaf composed, at order 12."""
+
+    TAIL = [F(1, 3), F(-2, 5), F(3, 7), F(0), F(-5, 2), F(1, 9), F(4, 11), F(-1, 13), F(2),
+            F(0), F(7, 6), F(-3, 4)]
+    CASES = {
+        "integer_power_negative_seed": (Power(3), F(-2)),
+        "square_negative_seed": (Power(2), F(-3, 2)),
+        "exp_negative_alpha": (Exp(F(-3, 2)), F(0)),
+        "sin_cosh_negative_alpha": (Sum((Sin(F(-2)), Cosh(F(-1, 3)))), F(0)),
+        "negative_scale": (Scale(F(-7, 3), Power(2)), F(-2)),
+        "log_negative_alpha_nonzero_beta": (Log(F(-1, 2), F(1, 2)), F(-1)),
+        "const_past_zero": (Sum((Const(F(-5, 3)), Var())), F(1)),
+        "three_child_product": (Product((Var(), Exp(F(-1, 2)), Sum((Const(F(2, 3)), Var())))), F(0)),
+        "sum_of_distinct_denominators": (
+            Sum((Scale(F(1, 3), Var()), Scale(F(-2, 5), Power(2)), Const(F(1, 7)),
+                 Log(F(-1, 2), F(3, 2)))), F(1)),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_both_oracles_and_returns_its_lists_entry(self, name):
+        e, y0 = self.CASES[name]
+        ys = [y0] + self.TAIL
+        state = ExprState(e, Mode.RATIONAL)
+        got = []
+        for k in range(len(ys)):
+            v = state.advance(ys[: k + 1])  # a plain list of Fractions
+            assert type(v) is F and v.denominator > 0
+            assert math.gcd(v.numerator, v.denominator) == 1
+            assert v is state._root[-1] and state._root[k] == v
+            got.append(v)
+        assert got == oracles.stream_per_node(e, ys, Mode.RATIONAL)
+        assert got == oracles.exact_tree(e, ys)
+
+
 _coeff = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 _alpha = _coeff.filter(bool)
 # subtrees whose coefficients stay exact at Y(0) = 0
@@ -303,8 +340,9 @@ class TestValidation:
 @pytest.mark.parametrize("call", [
     format_expr,
     lambda e: ExprState(e, Mode.RATIONAL),
+    lambda e: ExprState(e, Mode.FLOAT),
     lambda e: validate_expr(e, F(0), Mode.RATIONAL),
-], ids=["format_expr", "ExprState", "validate_expr"])
+], ids=["format_expr", "ExprState", "ExprState_float", "validate_expr"])
 def test_bare_base_node_is_not_an_expression(call):
     with pytest.raises(TypeError, match=r"^not an expression node: GExpr\(\)$"):
         call(GExpr())

@@ -234,6 +234,38 @@ class TestKernelProtocol:
         assert a[:3] == b[:3]
         assert a[3:] != b[3:]
 
+    # Y(0) and an order-12 tail over many denominators, zeros included
+    TAIL = [F(1, 3), F(-2, 5), F(3, 7), F(0), F(-5, 2), F(1, 9), F(4, 11), F(-1, 13), F(2),
+            F(0), F(7, 6), F(-3, 4)]
+
+    @pytest.mark.parametrize("kernel, y0, kind, params", [
+        (PowerKernel(3, Mode.RATIONAL), F(-2), "power", {"m": 3}),
+        (PowerKernel(F(1, 2), Mode.RATIONAL), F(9, 4), "power", {"m": F(1, 2)}),
+        (PowerKernel(2, Mode.RATIONAL), F(0), "power", {"m": 2}),
+        (ExpKernel(F(-3, 2), Mode.RATIONAL), F(0), "exp", {"alpha": F(-3, 2)}),
+        (LogKernel(F(-1, 2), F(1, 2), Mode.RATIONAL), F(-1), "log",
+         {"alpha": F(-1, 2), "beta": F(1, 2)}),
+        (SinCosKernel(F(-2), Mode.RATIONAL), F(0), "sin", {"alpha": F(-2)}),
+        (SinhCoshKernel(F(2, 3), Mode.RATIONAL), F(0), "sinh", {"alpha": F(2, 3)}),
+    ], ids=["power_negative_seed", "half_power", "power_zero_seed", "exp_negative_alpha",
+            "log_negative_alpha", "sincos_negative_alpha", "sinhcosh"])
+    def test_exact_advance_returns_its_lists_canonical_entry(self, kernel, y0, kind, params):
+        # a plain list of Fractions in; each value is normalised once, on append,
+        # and advance returns the very Fraction its list holds
+        ys = [y0] + self.TAIL
+        for k in range(len(ys)):
+            value = kernel.advance(ys[: k + 1])
+            values = value if kernel.paired else (value,)
+            for v, held in zip(values, (kernel.f, getattr(kernel, "g", None))):
+                assert type(v) is F and v.denominator > 0
+                assert math.gcd(v.numerator, v.denominator) == 1
+                assert v is held[-1] and held[k] == v
+        # and the values are the composition oracle's, signs included
+        assert list(kernel.f) == oracles.compose_fn(kind, params, ys, len(ys) - 1)
+        if kernel.paired:
+            partner = {"sin": "cos", "sinh": "cosh"}[kind]
+            assert list(kernel.g) == oracles.compose_fn(partner, params, ys, len(ys) - 1)
+
 
 class TestSeriesIdentities:
     ONE = [F(1), F(0), F(0), F(0), F(0), F(0)]  # the series of 1 at order 5

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emdenseries import (
@@ -288,6 +288,36 @@ class TestRandomProblems:
             res = residual_series(problem, low)
             assert res.coeffs[:order] == (F(0),) * order
             assert res[order] == -(order + 1) * (order + problem.p) * high[order + 1]
+
+    # f(0), f(1), f(2) over the distinct denominators 1, 3 and 5; f(1) == 0
+    # leaves f even, so the solve takes stride 2, and stride 1 otherwise
+    _f_distinct = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
+        lambda ns: [F(n, d) for n, d in zip(ns, (1, 3, 5))])
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        p=st.sampled_from([F(1, 2), F(1), F(2), F(5, 2), F(8)]),
+        a=_small,
+        f=_f_distinct,
+        g=_g_trees,
+        y0=st.one_of(st.sampled_from([F(-1), F(10**320), F(1, 10**320)]), _y0s),
+        order=st.integers(2, 24),
+    )
+    @example(p=F(2), a=F(-3, 2), f=[F(1), F(2, 3), F(-1, 5)], g=Product((Power(3), Var())),
+             y0=F(-1), order=24)
+    @example(p=F(1, 2), a=F(1, 2), f=[F(-2), F(0), F(3, 5)], g=Sum((Power(F(3, 2)), Scale(F(-1, 2), Var()))),
+             y0=F(10**320), order=24)
+    @example(p=F(8), a=F(-1), f=[F(1), F(1, 3)], g=Sum((Power(F(-1, 2)), Const(F(2, 3)))),
+             y0=F(1, 10**320), order=24)
+    def test_exact_solve_is_the_plain_fraction_recurrence(self, p, a, f, g, y0, order):
+        try:
+            problem = EmdenProblem(
+                p=p, a=a, f_poly=Series(f, Mode.RATIONAL), g=g, y0=y0, dy0=0, order=order,
+                mode=Mode.RATIONAL,
+            )
+        except (ProblemValidationError, OverflowError):  # no exact seed at y(0)
+            return
+        assert list(solve(problem).series.coeffs) == oracles.plain_solve(problem)
 
 
 def _same_solve(problem):

@@ -213,6 +213,19 @@ class TestRkTrajectory:
         with pytest.raises(ValueError, match=r"^x_target nan must be >= 0$"):
             _rk(problem, xs)
 
+    @pytest.mark.parametrize("x, message", [
+        (math.inf, r"^x_target inf must be finite$"),
+        (-math.inf, r"^x_target -inf must be >= 0$"),
+        (math.nan, r"^x_target nan must be >= 0$"),
+    ], ids=["inf", "minus_inf", "nan"])
+    def test_rejects_a_non_finite_point_by_name(self, x, message):
+        # +inf used to pass the x >= 0 check and fail as a step size underflow
+        # at x_start, since the underflow test scales with the span
+        problem = build_preset(PresetId("lane_emden", m=1), 10, Mode.FLOAT)
+        series = solve(problem).series
+        with pytest.raises(ValueError, match=message):
+            rk_trajectory(problem, series, [1.0, x])
+
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf],
                              ids=["zero", "negative", "nan", "inf", "minus_inf"])
     def test_rejects_a_tol_not_positive_and_finite(self, tol):
