@@ -30,7 +30,7 @@ from operator import mul
 from types import CodeType, FunctionType
 
 from . import kernels
-from .series import Mode, Number, Record, as_list, coerce, dot_numerator, guarded_sum, zero
+from .series import Mode, Number, Record, as_list, coerce, exact_dot, guarded_sum, zero
 
 
 class GExpr(Record):
@@ -282,14 +282,15 @@ def validate_expr(e: GExpr, y0, mode: Mode) -> ValidationReport:
     except failures as exc:
         return ValidationReport((Finding("y(0)", str(exc)),))
     for node in walk(e):
-        label = format_expr(node)
+        if node.kernel is None and not isinstance(node, (Var, Const, Scale, Sum, Product)):
+            raise TypeError(f"not an expression node: {node!r}")
         try:
             if isinstance(node, (Const, Scale)):
                 coerce(node.value if isinstance(node, Const) else node.factor, mode)
             elif node.kernel is not None:
                 node.kernel[0](*node._values(), mode).advance([y0])
-        except failures as exc:
-            findings.append(Finding(label, str(exc)))
+        except failures as exc:  # a node is formatted only when it fails
+            findings.append(Finding(format_expr(node), str(exc)))
     return ValidationReport(tuple(findings))
 
 
@@ -346,9 +347,8 @@ class ExprState:
         if isinstance(node, Product):
             def product(a, b) -> list:  # the list of the Cauchy product of a and b
                 if mode is Mode.RATIONAL:  # one integer sum, which never warns
-                    return self._add(lambda k, y: Fraction(dot_numerator(a, reversed(b)),
-                                                           a.den * b.den))
-                return self._add(lambda k, y: guarded_sum(map(mul, a, reversed(b)), z, warn,
+                    return self._add(lambda k, y: exact_dot(a, reversed(b)))
+                return self._add(lambda k, y: guarded_sum(map(mul, a, reversed(b)), warn,
                                  lambda: f"product convolution at index {k * stride}"))
 
             return reduce(product, (slots[repr(n)] for n in node.children))
@@ -372,7 +372,7 @@ class ExprState:
                     return Fraction(num, den)
             else:
                 step = lambda k, y: guarded_sum(
-                    (t[k] for t in terms), z, warn, lambda: f"sum at index {k * stride}")
+                    (t[k] for t in terms), warn, lambda: f"sum at index {k * stride}")
         else:
             raise TypeError(f"not an expression node: {node!r}")
         return self._add(step)
@@ -391,8 +391,8 @@ class ExprState:
         k = self.next_index
         kernels.check_prefix(y_prefix, k)
         for kernel in self._kernels:
-            self.kernel_calls += 1
             kernel.advance(y_prefix)
+        self.kernel_calls += len(self._kernels)
         for out, step in self._steps:
             out.append(step(k, y_prefix))
         return self._root[k]

@@ -14,7 +14,9 @@ and the pairs), r F(r) (ln) or (m+1) r (y^m), so its convolutions are
 plain left-to-right float loops: exp and ln call :func:`series.dot`; y^m
 and the pairs (both sums in one pass) loop here.  An exact kernel passes
 integer weights to :func:`series.dot_numerator` and folds the scalars
-(alpha, 1/k, 1/Y(0), 1/d) into one integer ratio, normalised once.
+(alpha, 1/k, 1/Y(0), 1/d) into one integer ratio, normalised once.  The
+repeated products of integer powers take each entry from
+:func:`series.dot` or, exactly, :func:`series.exact_dot`.
 
 Because F(k) depends on Y(0..k) only, a solver may interleave kernel
 steps with the recurrence that produces Y itself; that causality is the
@@ -41,7 +43,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import sub
 
-from .series import Mode, as_list, coerce, dot, dot_numerator, zero
+from .series import Mode, as_list, coerce, dot, dot_numerator, exact_dot, zero
 
 
 class KernelDomainError(ValueError):
@@ -183,7 +185,7 @@ class PowerKernel(Kernel):
 
     def _step(self, k, y):  # weights (m+1) r - k
         if self._powers is not None:
-            return self._fallback_step(k, y)
+            return self._fallback_step(k, y, dot)
         self._mr.append(self._weight[0] * k)
         acc = 0.0
         for t, x, f in zip(self._mr, y[1:], reversed(self.f)):
@@ -192,21 +194,21 @@ class PowerKernel(Kernel):
 
     def _exact_step(self, k, y):  # integer weights (P+Q) r - Q k over Q Y(0) k
         if self._powers is not None:
-            return self._fallback_step(k, y)
+            return self._fallback_step(k, y, exact_dot)
         top, q = self._weight
         self._mr.append(top * k)
         total = dot_numerator(y[1 : k + 1], reversed(self.f), map(sub, self._mr, repeat(q * k)))
         y0 = self._y0
         return Fraction(total * y0.denominator, y.den * self.f.den * q * k * y0.numerator)
 
-    def _fallback_step(self, k, y):
+    def _fallback_step(self, k, y, product):  # product: dot or exact_dot, as the caller's mode
         mi = self._int_exponent
         if mi == 0:
             return zero(self.mode)
         powers = self._powers
         powers[1].append(y[k])
         for j in range(2, mi + 1):
-            powers[j].append(dot(powers[j - 1], y[k::-1], zero(self.mode)))
+            powers[j].append(product(powers[j - 1], y[k::-1]))
         return powers[mi][k]
 
 
@@ -230,7 +232,7 @@ class ExpKernel(Kernel):
 
     def _step(self, k, y):
         self._dy.append(k * y[k])
-        return self.alpha * dot(self._dy, reversed(self.f), 0.0) / k
+        return self.alpha * dot(self._dy, reversed(self.f)) / k
 
     def _exact_step(self, k, y):  # the weights r on Y(r)
         a, total = self.alpha, dot_numerator(y[1 : k + 1], reversed(self.f), range(1, k + 1))
@@ -263,7 +265,7 @@ class LogKernel(Kernel):
         return self._seed(d, 1, "alpha*Y(0)+beta == 1")[0]
 
     def _step(self, k, y):
-        acc = dot(self._df, y[k - 1 : 0 : -1], 0.0)
+        acc = dot(self._df, y[k - 1 : 0 : -1])
         fv = self.alpha * (y[k] - acc / k) / self._d
         self._df.append(k * fv)
         return fv

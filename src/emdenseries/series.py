@@ -9,7 +9,8 @@ highest power N (the *order*), so that
 Products are truncating: the product of order-N series is an order-N
 series and terms above x^N are dropped.  Callers that need more headroom
 pad first (see :meth:`Series.pad`).  Each exact convolution is one
-integer sum, :func:`dot_numerator`; float Power and the paired kernels
+integer sum, :func:`dot_numerator` (:func:`exact_dot` for a plain one);
+:func:`dot` is the float one, and float Power and the paired kernels
 fuse their own loops.  The float sums and products of
 :class:`emdenseries.expr.ExprState` and the recurrence's forcing sum go
 through :func:`guarded_sum`, which reports cancellation.  Every float
@@ -148,8 +149,8 @@ class RationalList:
 
 
 def as_list(mode: Mode, values=()):
-    """``values`` in the list format of ``mode`` that :func:`dot` takes:
-    floats in a new list, or a RationalList (a RationalList passes as is)."""
+    """``values`` in the list format of ``mode`` that :func:`dot` or :func:`exact_dot`
+    takes: floats in a new list, or a RationalList (a RationalList passes as is)."""
     if mode is Mode.FLOAT:
         return [coerce(v, mode) for v in values]
     return values if type(values) is RationalList else RationalList(values)
@@ -264,27 +265,21 @@ class Series(Record):
 
 
 def dot_numerator(xs, ys, weights=None):
-    """:func:`dot` of two RationalLists from 0, times ``xs.den * ys.den``: one
-    sum over their numerators, an int for int weights."""
+    """``x0*y0 + x1*y1 + ...`` (with ``weights``, each term ``(w*x)*y``) of two RationalLists
+    times ``xs.den * ys.den``: one sum over their numerators, an int for int weights."""
     return sum(map(mul, xs.nums if weights is None else map(mul, weights, xs.nums), ys.nums))
 
 
-def dot(xs, ys, start: Number, weights=None) -> Number:
-    """``start + x0*y0 + x1*y1 + ...``, or with ``weights`` (exactly
-    only) each term ``(w*x)*y``, accumulated left to right and stopping
-    at the shortest input.
+def exact_dot(xs, ys) -> Fraction:
+    """``x0*y0 + x1*y1 + ...`` of two RationalLists, normalised once."""
+    return Fraction(dot_numerator(xs, ys), xs.den * ys.den)
 
-    The float Exp and Log kernels and integer powers' products call it.
-    Callers pass :func:`zero` as ``start``; starting from the first term
-    instead would turn a sum of -0.0 terms into -0.0 rather than 0.0.  A
-    Fraction ``start`` takes RationalLists (:func:`as_list`) and int or
-    Fraction weights, and normalises :func:`dot_numerator` once.
-    """
-    if type(start) is Fraction:  # not isinstance: a check against the ABC slows every float dot
-        den, start_den = xs.den * ys.den, start.denominator
-        total = dot_numerator(xs, ys, weights)
-        return Fraction(total * start_den + start.numerator * den, den * start_den)
-    acc = start
+
+def dot(xs, ys) -> float:
+    """``x0*y0 + x1*y1 + ...`` of floats, left to right from 0.0, stopping at the
+    shortest input; from the first term, a sum of -0.0 terms would be -0.0.  The
+    float Exp and Log kernels and integer powers' products call it."""
+    acc = 0.0
     for x, y in zip(xs, ys):
         acc += x * y
     return acc
@@ -315,23 +310,16 @@ def evaluate(s: Series, x) -> Number:
 _CANCELLATION_LIMIT = 1e6
 
 
-def guarded_sum(
-    terms,
-    start: Number,
-    on_warn: Callable[[str], None] | None = None,
-    label: Callable[[], str] = lambda: "",
-) -> Number:
-    """Sum ``terms`` onto ``start``, flagging heavy float cancellation.
+def guarded_sum(terms, on_warn: Callable[[str], None] | None, label: Callable[[], str]) -> float:
+    """Sum the float ``terms`` left to right from 0.0, flagging heavy cancellation.
 
-    In float mode, when the largest term magnitude exceeds
-    ``_CANCELLATION_LIMIT`` times the final sum, most leading digits
-    cancelled and the result has lost precision; ``on_warn`` receives one
-    message, named by ``label()``, which runs only then.  No compensated
-    summation is attempted.  Rational sums never warn (the solver adds its own as integers).
+    When the largest term magnitude exceeds ``_CANCELLATION_LIMIT`` times
+    the final sum, most leading digits cancelled and the result has lost
+    precision; ``on_warn`` (unless None) receives one message, named by
+    ``label()``, which runs only then.  No compensated summation is attempted.
     """
-    total = start
-    largest = 0.0
-    watching = on_warn is not None and isinstance(start, float)
+    total = largest = 0.0
+    watching = on_warn is not None
     for t in terms:
         total += t
         if watching:

@@ -67,7 +67,7 @@ def _forcing(problem: EmdenProblem, solving: bool, on_warn=None):
     support = [(r, c) for r, c in enumerate(problem.f_poly.coeffs, start=1) if c != 0]
     if problem.mode is Mode.FLOAT:
         def forcing(g, k, stride):
-            s = guarded_sum((c * g[(k - r) // stride] for r, c in support if r <= k), 0.0,
+            s = guarded_sum((c * g[(k - r) // stride] for r, c in support if r <= k),
                             on_warn, lambda: f"recurrence step k={k}")
             return -a * s / ((k + 1) * (k + p)) if solving else a * s
         return forcing

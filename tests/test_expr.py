@@ -325,6 +325,26 @@ class TestValidation:
         report = validate_expr(e, F(2), Mode.RATIONAL)
         assert len(report.findings) == 2
 
+    def test_labels_are_formatted_only_for_failing_nodes(self, monkeypatch):
+        calls = []
+
+        def spy(node):  # failing nodes here are leaves: format_expr does not recurse
+            calls.append(node)
+            return format_expr(node)
+
+        monkeypatch.setattr(expr, "format_expr", spy)
+        valid = parse_expression("18*y + 4*y*exp(y) - 1/2*sinh(y)*cosh(y) + y^2")
+        assert validate_expr(valid, F(0), Mode.RATIONAL).ok
+        assert calls == []
+        bad = (Log(F(1), F(0)), Sinh(F(1)), Const(0.5))
+        report = validate_expr(Sum((*bad, Var(), Exp(F(0)))), F(2), Mode.RATIONAL)
+        assert calls == list(bad)
+        assert str(report) == (
+            "ln(y): ln(2) is irrational; rational mode needs alpha*Y(0)+beta == 1; "
+            "sinh(y): sinh(2), cosh(2) are irrational; rational mode needs alpha*Y(0) == 0; "
+            "0.5: float value 0.5 in rational mode; convert explicitly"
+        )
+
     def test_float_constant_in_rational_session(self):
         report = validate_expr(Scale(0.5, Var()), F(0), Mode.RATIONAL)
         assert not report.ok

@@ -231,22 +231,49 @@ order = 30
 mode = rational
 """
 
+# f = 1 + x/2 - 3/4 x^3 has odd powers, so every step runs in x with a forcing
+# sum of several terms, as in the generated float_sweep problems
+ODD_PROFILE = """\
+[equation]
+p = 3/2
+a = -3/4
+f = 1 + 1/2*x - 3/4*x^3
+g = 2*y^2 + exp(-y/2) - 1/4*sinh(y)*cosh(y)
+
+[initial]
+y0 = 0
+
+[solve]
+order = 30
+mode = rational
+"""
+
+# (case id, problem file, argv, exit code, sha256(stdout), sha256(stderr))
 FILE_CASES = [
-    ('solve_rational_even_profile', 'solve --file {} --mode rational',
+    ('solve_rational_even_profile', EVEN_PROFILE, 'solve --file {} --mode rational',
      0, 'c218cd347573b377a457915185fe1f88952148973fade98c8d2458efcaa76dc2', EMPTY),
-    ('solve_float_even_profile', 'solve --file {} --mode float --order 41',
+    ('solve_float_even_profile', EVEN_PROFILE, 'solve --file {} --mode float --order 41',
      0, 'b3063b9cff6e8f6e16e64f1e4eb52844794fedc71708fdf492cdad04ac71f4c0', EMPTY),
-    ('eval_rational_even_profile', 'eval --file {} --mode rational --range 0:1:1/8 --format csv',
+    ('eval_rational_even_profile', EVEN_PROFILE, 'eval --file {} --mode rational --range 0:1:1/8 --format csv',
      0, 'dbfca5f956972a6d3e6265b644d09fe770ad40631f73e6d827dacdc4dea91d7a', EMPTY),
-    ('eval_float_even_profile', 'eval --file {} --mode float --range 0:1:1/8 --format csv',
+    ('eval_float_even_profile', EVEN_PROFILE, 'eval --file {} --mode float --range 0:1:1/8 --format csv',
      0, '5a6a6b97100c9d0870396d2150878bb3fee4250bf3105e537e29d5a1e3c0dbd2', EMPTY),
+    ('solve_rational_odd_profile', ODD_PROFILE, 'solve --file {} --mode rational',
+     0, '175f928a954e421f798cac00d9114a8ddce4c17f5d9de842d514e9cf56e4f9d7', EMPTY),
+    ('solve_float_odd_profile', ODD_PROFILE, 'solve --file {} --mode float --order 41',
+     0, '401c816d0aee5fd3d5a1e04ddc9a17f33bebe338b56530757b77e2a7a6e698cc', EMPTY),
+    ('eval_rational_odd_profile', ODD_PROFILE, 'eval --file {} --mode rational --range 0:1:1/8 --format csv',
+     0, 'c51f60cefcf87572354548401d0bc036ab07ab1e2a835c29006a98562cbd2d77', EMPTY),
+    ('eval_float_odd_profile', ODD_PROFILE, 'eval --file {} --mode float --range 0:1:1/8 --format csv',
+     0, '2dc3b46d64044a511853f3162d445e2f95ec129e1326b131f39c16c0cb586344', EMPTY),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, code, out_sha, err_sha", [c[1:] for c in FILE_CASES], ids=[c[0] for c in FILE_CASES]
+    "text, argv, code, out_sha, err_sha", [c[1:] for c in FILE_CASES],
+    ids=[c[0] for c in FILE_CASES],
 )
-def test_problem_file_output_unchanged(tmp_path, argv, code, out_sha, err_sha):
-    path = tmp_path / "even_profile.efp"
-    path.write_text(EVEN_PROFILE)
+def test_problem_file_output_unchanged(tmp_path, text, argv, code, out_sha, err_sha):
+    path = tmp_path / "profile.efp"
+    path.write_text(text)
     test_cli_output_unchanged(argv.format(path), code, out_sha, err_sha)

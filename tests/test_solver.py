@@ -309,6 +309,9 @@ class TestRandomProblems:
              y0=F(10**320), order=24)
     @example(p=F(8), a=F(-1), f=[F(1), F(1, 3)], g=Sum((Power(F(-1, 2)), Const(F(2, 3)))),
              y0=F(1, 10**320), order=24)
+    # y^3 at a zero seed: the exact repeated products, at every step in x
+    @example(p=F(5, 2), a=F(1, 2), f=[F(1), F(1, 3)], g=Sum((Power(3), Const(1))),
+             y0=F(0), order=24)
     def test_exact_solve_is_the_plain_fraction_recurrence(self, p, a, f, g, y0, order):
         try:
             problem = EmdenProblem(
